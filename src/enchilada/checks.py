@@ -15,6 +15,7 @@ import numpy as np
 
 from .algebras import FdCStarAlgebra
 from .cardinal import INF, Cardinal
+from .concrete import CLASSIFY_TOL, classify, interior_tensor, interior_tensor_norm, realize
 from .corr import (
     CorrClass,
     cokernel,
@@ -268,12 +269,10 @@ def suite_tensor_oracle(
     max_blocks: int = 3,
     max_size: int = 3,
     max_entry: int = 2,
-    tol: float = 1e-6,
+    tol: float = CLASSIFY_TOL,
 ) -> SuiteResult:
     """Numeric cross-check: classify(realize(K) (x) realize(L)) = K * L,
     plus the realize/classify roundtrip."""
-    from .concrete import classify, interior_tensor, realize
-
     fails = []
     for n in range(cases):
         a = random_algebra(rng, max_blocks, max_size)
@@ -303,8 +302,6 @@ def suite_zero_tensor(
     Half the pairs are built with the support inside the kernel so both
     verdicts appear.
     """
-    from .concrete import interior_tensor_norm, realize
-
     fails = []
     for n in range(cases):
         a = random_algebra(rng, max_blocks, max_size)
@@ -384,7 +381,7 @@ def run_random_checks(
     seed: int = 0,
     counts: dict | None = None,
     bounds: dict | None = None,
-    tol: float = 1e-6,
+    tol: float = CLASSIFY_TOL,
 ) -> RandomCheckReport:
     """Run every invariant suite with child seeds derived from `seed`."""
     cfg = dict(DEFAULT_COUNTS)
@@ -400,7 +397,7 @@ def run_random_checks(
             raise ValidationError(f"unknown bounds: {sorted(unknown)}")
         bnd.update(bounds)
     for key, value in {**cfg, **bnd}.items():
-        if not isinstance(value, int) or value < 1:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ValidationError(f"{key} must be a positive integer, got {value!r}")
     children = np.random.SeedSequence(seed).spawn(5)
     rngs = [np.random.default_rng(s) for s in children]

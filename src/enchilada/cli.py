@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .checks import run_random_checks
-from .concrete import InteriorTensor, classify, realize
+from .concrete import CLASSIFY_TOL, GRAM_NULL_TOL, InteriorTensor, classify, realize
 from .corr import (
     cokernel,
     compose,
@@ -31,21 +31,9 @@ from .corr import (
     schubert_image,
 )
 from .errors import ValidationError
-from .exactness import GALLERY_NAMES, check_sequence, check_short_exact, gallery
+from .exactness import check_sequence, check_short_exact
 from .jsonio import corr_from_json, corr_to_json, ideal_to_json, sequence_from_json
-
-VERBS = (
-    "compose",
-    "kernel",
-    "cokernel",
-    "image",
-    "coimage",
-    "classify-predicates",
-    "check-exact",
-    "oracle-tensor",
-    "gallery",
-    "random-check",
-)
+from .quirks import GALLERY_NAMES, gallery
 
 RANK_TEST_CAVEAT = (
     "quantifies only over finite-entry test morphisms between "
@@ -101,7 +89,7 @@ def _pair(obj) -> tuple:
     return corr_from_json(obj["x"]), corr_from_json(obj["y"])
 
 
-def _run_compose(obj, args):
+def _run_compose(verb, obj, args):
     x, y = _pair(obj)
     result = compose(x, y)
     report = {"verb": "compose", "result": corr_to_json(result)}
@@ -130,8 +118,8 @@ def _run_ideal_verb(verb, obj, args):
     return 0, report, [f"{verb}: {result!r}", f"  {label} blocks: {ideal_to_json(ideal)['members']}"]
 
 
-def _run_predicates(obj, args):
-    x = corr_from_json(_need(obj, "classify-predicates"))
+def _run_predicates(verb, obj, args):
+    x = corr_from_json(_need(obj, verb))
     finite = x.all_finite
     preds = {
         "is_zero": x.is_zero,
@@ -166,8 +154,8 @@ def _run_predicates(obj, args):
     return 0, report, lines
 
 
-def _run_check_exact(obj, args):
-    obj = _need(obj, "check-exact")
+def _run_check_exact(verb, obj, args):
+    obj = _need(obj, verb)
     if isinstance(obj, dict) and "x" in obj and "y" in obj:
         x, y = _pair(obj)
         report = check_short_exact(x, y)
@@ -200,12 +188,12 @@ def _run_check_exact(obj, args):
     return (0 if verdict else 1), out, lines
 
 
-def _run_oracle_tensor(obj, args):
+def _run_oracle_tensor(verb, obj, args):
     x, y = _pair(obj)
     if not (x.all_finite and y.all_finite):
         raise ValidationError("oracle-tensor requires finite multiplicities")
     symbolic = compose(x, y)
-    null_tol = args.tolerance if args.tolerance is not None else 1e-7
+    null_tol = args.tolerance if args.tolerance is not None else GRAM_NULL_TOL
     tensor = InteriorTensor(realize(x), realize(y), null_tol)
     numeric = classify(tensor.corr)
     match = numeric == symbolic
@@ -225,7 +213,7 @@ def _run_oracle_tensor(obj, args):
     return (0 if match else 1), report, lines
 
 
-def _run_gallery(obj, args):
+def _run_gallery(verb, obj, args):
     if obj is None:
         names = GALLERY_NAMES
     elif isinstance(obj, str):
@@ -250,7 +238,7 @@ def _run_gallery(obj, args):
     return (0 if ok else 1), report, lines
 
 
-def _run_random_check(obj, args):
+def _run_random_check(verb, obj, args):
     counts = None
     if obj is not None:
         if not isinstance(obj, dict):
@@ -261,7 +249,7 @@ def _run_random_check(obj, args):
         "max_size": args.max_dim,
         "max_entry": args.max_entry,
     }
-    tol = args.tolerance if args.tolerance is not None else 1e-6
+    tol = args.tolerance if args.tolerance is not None else CLASSIFY_TOL
     report = run_random_checks(args.seed, counts, bounds, tol)
     out = {"verb": "random-check", **report.to_json()}
     lines = [f"random-check seed={report.seed}: {'PASS' if report.ok else 'FAIL'}"]
@@ -273,24 +261,25 @@ def _run_random_check(obj, args):
     return (0 if report.ok else 1), out, lines
 
 
+# Each handler takes (verb, obj, args) and returns (exit code, report, lines).
+_HANDLERS = {
+    "compose": _run_compose,
+    **dict.fromkeys(_IDEAL_VERBS, _run_ideal_verb),
+    "classify-predicates": _run_predicates,
+    "check-exact": _run_check_exact,
+    "oracle-tensor": _run_oracle_tensor,
+    "gallery": _run_gallery,
+    "random-check": _run_random_check,
+}
+
+VERBS = tuple(_HANDLERS)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         obj = _load_input(args.input)
-        if args.verb == "compose":
-            code, report, lines = _run_compose(obj, args)
-        elif args.verb in _IDEAL_VERBS:
-            code, report, lines = _run_ideal_verb(args.verb, obj, args)
-        elif args.verb == "classify-predicates":
-            code, report, lines = _run_predicates(obj, args)
-        elif args.verb == "check-exact":
-            code, report, lines = _run_check_exact(obj, args)
-        elif args.verb == "oracle-tensor":
-            code, report, lines = _run_oracle_tensor(obj, args)
-        elif args.verb == "gallery":
-            code, report, lines = _run_gallery(obj, args)
-        else:
-            code, report, lines = _run_random_check(obj, args)
+        code, report, lines = _HANDLERS[args.verb](args.verb, obj, args)
     except (ValidationError, json.JSONDecodeError, OSError) as exc:
         report = {"error": str(exc)}
         if not args.json_only:

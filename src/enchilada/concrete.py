@@ -43,6 +43,7 @@ __all__ = [
     "GRAM_NULL_TOL",
     "CLASSIFY_TOL",
     "VALIDATE_TOL",
+    "MAX_ACTION_ENTRIES",
 ]
 
 # Singular values of the scalarized Gram form below this (relative) cutoff
@@ -51,6 +52,9 @@ GRAM_NULL_TOL = 1e-7
 # A projection trace must be within this distance of an integer.
 CLASSIFY_TOL = 1e-6
 VALIDATE_TOL = 1e-9
+# Most complex entries (n_i^2 d_j^2) one unit-image array of an action may
+# have; realize and InteriorTensor refuse larger fibers before allocating.
+MAX_ACTION_ENTRIES = 2**24
 
 Element = tuple[np.ndarray, ...]
 AlgebraElement = tuple[np.ndarray, ...]
@@ -60,6 +64,16 @@ def _max_abs(arr: np.ndarray) -> float:
     if arr.size == 0:
         return 0.0
     return float(np.abs(arr).max())
+
+
+def _check_action_size(source: FdCStarAlgebra, fiber_dims) -> None:
+    n = max(source.blocks, default=0)
+    d = max(fiber_dims, default=0)
+    if n * n * d * d > MAX_ACTION_ENTRIES:
+        raise ValidationError(
+            f"an action array of shape {(n, n, d, d)} exceeds "
+            f"{MAX_ACTION_ENTRIES} entries"
+        )
 
 
 def algebra_unit(a: FdCStarAlgebra) -> AlgebraElement:
@@ -226,6 +240,7 @@ def realize(kind: CorrClass) -> ConcreteCorr:
     dims = tuple(
         sum(k[i][j] * n for i, n in enumerate(a.blocks)) for j in range(b.block_count)
     )
+    _check_action_size(a, dims)
     action = []
     for j in range(b.block_count):
         d = dims[j]
@@ -445,11 +460,8 @@ class InteriorTensor:
         )
 
         layout: list[tuple[tuple[int, int, np.ndarray], ...]] = []
-        fibers: list[int] = []
-        actions: list[tuple[np.ndarray, ...]] = []
         for l in range(c.block_count):
             parts = []
-            f = 0
             for j in range(b.block_count):
                 if (l, j) not in eigen:
                     continue
@@ -460,8 +472,12 @@ class InteriorTensor:
                     continue
                 w = vec[:, keep] * np.sqrt(lam[keep])
                 parts.append((j, mu, w))
-                f += dx[j] * mu
-            fibers.append(f)
+            layout.append(tuple(parts))
+        fibers = tuple(sum(dx[j] * mu for j, mu, _w in parts) for parts in layout)
+        _check_action_size(a, fibers)
+
+        actions: list[tuple[np.ndarray, ...]] = []
+        for f, parts in zip(fibers, layout):
             per_source = []
             for i, n in enumerate(a.blocks):
                 arr = np.zeros((n, n, f, f), dtype=complex)
@@ -475,9 +491,8 @@ class InteriorTensor:
                     off += span
                 per_source.append(arr)
             actions.append(tuple(per_source))
-            layout.append(tuple(parts))
         self._layout = tuple(layout)
-        self.corr = ConcreteCorr(a, ConcreteModule(c, tuple(fibers)), tuple(actions))
+        self.corr = ConcreteCorr(a, ConcreteModule(c, fibers), tuple(actions))
 
     def embed(self, x_elt, y_elt) -> Element:
         """Image of the elementary tensor x (x) y in the quotient module.

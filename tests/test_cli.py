@@ -133,6 +133,16 @@ def test_oracle_tensor_rejects_inf(capsys):
     assert code == 2
 
 
+def test_oracle_tensor_rejects_oversized_fiber(capsys):
+    pair = {
+        "x": {"source": {"blocks": [1]}, "target": {"blocks": [1]}, "matrix": [[1000000000]]},
+        "y": {"source": {"blocks": [1]}, "target": {"blocks": [1]}, "matrix": [[1]]},
+    }
+    code, report = run_json(capsys, "oracle-tensor", "--input", json.dumps(pair))
+    assert code == 2
+    assert "exceeds" in report["error"]
+
+
 def test_classify_predicates(capsys):
     code, report = run_json(capsys, "classify-predicates", "--input", json.dumps(X_JSON))
     assert code == 0
@@ -170,6 +180,12 @@ def test_gallery_verb(capsys):
     assert code == 2
 
 
+def test_gallery_rejects_non_string_name(capsys):
+    code, report = run_json(capsys, "gallery", "--input", json.dumps({"name": []}))
+    assert code == 2
+    assert "unknown gallery entry" in report["error"]
+
+
 def test_random_check_deterministic(capsys):
     counts = json.dumps(
         {"laws": 15, "universal": 5, "schubert": 5, "oracle": 5, "zero_tensor": 5}
@@ -185,6 +201,12 @@ def test_random_check_deterministic(capsys):
 def test_random_check_rejects_bad_counts(capsys):
     code, report = run_json(capsys, "random-check", "--input", json.dumps({"bogus": 3}))
     assert code == 2
+
+
+def test_random_check_rejects_boolean_count(capsys):
+    code, report = run_json(capsys, "random-check", "--input", json.dumps({"laws": True}))
+    assert code == 2
+    assert "laws must be a positive integer" in report["error"]
 
 
 def test_human_summary_plus_json(capsys):

@@ -28,6 +28,7 @@ from enchilada import (
     suite_zero_tensor,
     validate,
 )
+from enchilada import concrete
 from enchilada.concrete import ConcreteCorr, ConcreteModule
 
 C1 = make_algebra([1])
@@ -65,6 +66,34 @@ def test_realize_diagonal_embedding():
 def test_realize_rejects_inf():
     with pytest.raises(ValidationError):
         realize(CorrClass(C1, C1, (("inf",),)))
+
+
+def test_realize_caps_action_size(monkeypatch):
+    # Refused before numpy is asked for the (1, 1, d, d) array.
+    for k in (4097, 10**9):
+        with pytest.raises(ValidationError, match="exceeds"):
+            realize(CorrClass(C1, C1, ((k,),)))
+    # The cap bounds n_i^2 d_j^2 for every unit-image array, inclusively.
+    monkeypatch.setattr(concrete, "MAX_ACTION_ENTRIES", 16)
+    assert realize(CorrClass(C1, C1, ((4,),))).module.fiber_dims == (4,)
+    assert realize(CorrClass(M2, C1, ((1,),))).module.fiber_dims == (2,)
+    with pytest.raises(ValidationError):
+        realize(CorrClass(C1, C1, ((5,),)))
+    with pytest.raises(ValidationError):
+        realize(CorrClass(make_algebra([1, 2]), C1, ((1,), (1,))))
+
+
+def test_interior_tensor_caps_action_size(monkeypatch):
+    # Both factors are small; their product's fiber (64 * 65) is not.
+    x = realize(CorrClass(C1, C1, ((64,),)))
+    y = realize(CorrClass(C1, C1, ((65,),)))
+    with pytest.raises(ValidationError, match="exceeds"):
+        InteriorTensor(x, y)
+    monkeypatch.setattr(concrete, "MAX_ACTION_ENTRIES", 36)
+    two, three, four = (realize(CorrClass(C1, C1, ((k,),))) for k in (2, 3, 4))
+    assert InteriorTensor(two, three).corr.module.fiber_dims == (6,)
+    with pytest.raises(ValidationError):
+        InteriorTensor(two, four)
 
 
 def test_validate_realizations_pass():

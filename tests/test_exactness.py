@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from enchilada import (
@@ -9,6 +11,8 @@ from enchilada import (
     check_sequence,
     check_short_exact,
     cokernel,
+    enumerate_algebras,
+    enumerate_corrs,
     exact_at,
     gallery,
     identity_corr,
@@ -16,6 +20,7 @@ from enchilada import (
     make_algebra,
     random_algebra,
     random_corr,
+    schubert_image,
     zero_corr,
 )
 
@@ -40,6 +45,20 @@ def test_exact_at_examples():
 
     with pytest.raises(ValidationError):
         exact_at(x, injective)
+
+
+def test_exact_at_agrees_with_subobject_equality():
+    # The definition compares the Schubert image of X and the kernel of Y as
+    # subobjects of B; exact_at compares the two ideals' block sets instead.
+    pairs = exact = 0
+    for a, b, c in itertools.product(enumerate_algebras(2, 2), repeat=3):
+        for x in enumerate_corrs(a, b, 1):
+            for y in enumerate_corrs(b, c, 1):
+                verdict = exact_at(x, y).exact
+                assert (schubert_image(x) == kernel(y)) == verdict, (x, y)
+                pairs += 1
+                exact += verdict
+    assert (pairs, exact) == (22247, 4137)
 
 
 def test_exact_at_kernel_and_cokernel_nodes():
