@@ -399,6 +399,8 @@ def run_random_checks(
     for key, value in {**cfg, **bnd}.items():
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ValidationError(f"{key} must be a positive integer, got {value!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     children = np.random.SeedSequence(seed).spawn(5)
     rngs = [np.random.default_rng(s) for s in children]
     mb, ms, me = bnd["max_blocks"], bnd["max_size"], bnd["max_entry"]

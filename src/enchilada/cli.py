@@ -82,6 +82,15 @@ def _need(obj, what: str):
     return obj
 
 
+def _tolerance(args, default: float) -> float:
+    if args.tolerance is None:
+        return default
+    # Also false for NaN; at 1 or above the Gram cutoff drops every eigenvalue.
+    if not 0.0 < args.tolerance < 1.0:
+        raise ValidationError(f"--tolerance must lie in (0, 1), got {args.tolerance!r}")
+    return args.tolerance
+
+
 def _pair(obj) -> tuple:
     obj = _need(obj, "this verb")
     if not isinstance(obj, dict) or "x" not in obj or "y" not in obj:
@@ -189,11 +198,11 @@ def _run_check_exact(verb, obj, args):
 
 
 def _run_oracle_tensor(verb, obj, args):
+    null_tol = _tolerance(args, GRAM_NULL_TOL)
     x, y = _pair(obj)
     if not (x.all_finite and y.all_finite):
         raise ValidationError("oracle-tensor requires finite multiplicities")
     symbolic = compose(x, y)
-    null_tol = args.tolerance if args.tolerance is not None else GRAM_NULL_TOL
     tensor = InteriorTensor(realize(x), realize(y), null_tol)
     numeric = classify(tensor.corr)
     match = numeric == symbolic
@@ -249,8 +258,7 @@ def _run_random_check(verb, obj, args):
         "max_size": args.max_dim,
         "max_entry": args.max_entry,
     }
-    tol = args.tolerance if args.tolerance is not None else CLASSIFY_TOL
-    report = run_random_checks(args.seed, counts, bounds, tol)
+    report = run_random_checks(args.seed, counts, bounds, _tolerance(args, CLASSIFY_TOL))
     out = {"verb": "random-check", **report.to_json()}
     lines = [f"random-check seed={report.seed}: {'PASS' if report.ok else 'FAIL'}"]
     for suite in report.results:

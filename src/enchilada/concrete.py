@@ -38,8 +38,6 @@ __all__ = [
     "rank_one",
     "compacts_span_defect",
     "algebra_unit",
-    "algebra_basis",
-    "matrix_unit",
     "GRAM_NULL_TOL",
     "CLASSIFY_TOL",
     "VALIDATE_TOL",
@@ -52,8 +50,9 @@ GRAM_NULL_TOL = 1e-7
 # A projection trace must be within this distance of an integer.
 CLASSIFY_TOL = 1e-6
 VALIDATE_TOL = 1e-9
-# Most complex entries (n_i^2 d_j^2) one unit-image array of an action may
-# have; realize and InteriorTensor refuse larger fibers before allocating.
+# Most complex entries, sum_i n_i^2 * sum_j d_j^2, that the unit-image arrays
+# of one action may hold together; larger correspondences are refused before
+# anything is allocated.
 MAX_ACTION_ENTRIES = 2**24
 
 Element = tuple[np.ndarray, ...]
@@ -66,40 +65,9 @@ def _max_abs(arr: np.ndarray) -> float:
     return float(np.abs(arr).max())
 
 
-def _check_action_size(source: FdCStarAlgebra, fiber_dims) -> None:
-    n = max(source.blocks, default=0)
-    d = max(fiber_dims, default=0)
-    if n * n * d * d > MAX_ACTION_ENTRIES:
-        raise ValidationError(
-            f"an action array of shape {(n, n, d, d)} exceeds "
-            f"{MAX_ACTION_ENTRIES} entries"
-        )
-
-
 def algebra_unit(a: FdCStarAlgebra) -> AlgebraElement:
     """The unit of the algebra as a tuple of identity blocks."""
     return tuple(np.eye(n, dtype=complex) for n in a.blocks)
-
-
-def algebra_basis(a: FdCStarAlgebra) -> list[AlgebraElement]:
-    """All matrix units of the algebra, ordered by block, row, column."""
-    out = []
-    for i, n in enumerate(a.blocks):
-        for p in range(n):
-            for q in range(n):
-                out.append(matrix_unit(a, i, p, q))
-    return out
-
-
-def matrix_unit(a: FdCStarAlgebra, block: int, p: int, q: int) -> AlgebraElement:
-    """The matrix unit e_{pq} of one block, zero elsewhere."""
-    elt = []
-    for i, n in enumerate(a.blocks):
-        m = np.zeros((n, n), dtype=complex)
-        if i == block:
-            m[p, q] = 1.0
-        elt.append(m)
-    return tuple(elt)
 
 
 @dataclass(frozen=True)
@@ -167,10 +135,6 @@ class ConcreteModule:
         x = self.as_element(x)
         return tuple(xj @ bj for xj, bj in zip(x, b))
 
-    def element_norm(self, x) -> float:
-        """Largest entry of the inner product, as a cheap vanishing gauge."""
-        return max((_max_abs(ip) for ip in self.inner_product(x, x)), default=0.0)
-
     def random_element(self, rng: np.random.Generator) -> Element:
         return tuple(
             rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
@@ -226,6 +190,39 @@ class ConcreteCorr:
         return tuple(self.action_matrix(j, a) @ xj for j, xj in enumerate(x))
 
 
+def _assemble(source: FdCStarAlgebra, target: FdCStarAlgebra, fibers) -> ConcreteCorr:
+    """The correspondence whose fiber l is the block-diagonal sum of fibers[l].
+
+    Each part (e, mu, images) of a fiber places mu copies, copy-major, of an
+    e-dimensional representation on the diagonal; images maps a source block
+    i to its unit images, shape (n_i, n_i, e, e), or to None for the identity
+    representation of block i (e = n_i), and absent blocks act as zero.  The
+    total size of the action is checked before any allocation.
+    """
+    dims = tuple(sum(e * mu for e, mu, _ in parts) for parts in fibers)
+    entries = sum(n * n for n in source.blocks) * sum(d * d for d in dims)
+    if entries > MAX_ACTION_ENTRIES:
+        raise ValidationError(
+            f"the unit-image arrays for fibers {dims} hold {entries} complex "
+            f"entries, which exceeds {MAX_ACTION_ENTRIES}"
+        )
+    action = []
+    for d, parts in zip(dims, fibers):
+        arrs = [np.zeros((n, n, d, d), dtype=complex) for n in source.blocks]
+        off = 0
+        for e, mu, images in parts:
+            if mu == 0:
+                continue
+            idx = off + np.arange(mu * e).reshape(mu, e)
+            for i, img in images.items():
+                if img is None:
+                    img = np.eye(e * e).reshape(e, e, e, e)
+                arrs[i][:, :, idx[:, :, None], idx[:, None, :]] = img[:, :, None]
+            off += mu * e
+        action.append(tuple(arrs))
+    return ConcreteCorr(source, ConcreteModule(target, dims), tuple(action))
+
+
 def realize(kind: CorrClass) -> ConcreteCorr:
     """Canonical numeric model of a finite-multiplicity class.
 
@@ -236,24 +233,11 @@ def realize(kind: CorrClass) -> ConcreteCorr:
     if not kind.all_finite:
         raise ValidationError("cannot realize a class with infinite multiplicities")
     a, b = kind.source, kind.target
-    k = [[int(v) for v in row] for row in kind.matrix]
-    dims = tuple(
-        sum(k[i][j] * n for i, n in enumerate(a.blocks)) for j in range(b.block_count)
-    )
-    _check_action_size(a, dims)
-    action = []
-    for j in range(b.block_count):
-        d = dims[j]
-        imgs = [np.zeros((n, n, d, d), dtype=complex) for n in a.blocks]
-        off = 0
-        for i, n in enumerate(a.blocks):
-            for _ in range(k[i][j]):
-                for p in range(n):
-                    for q in range(n):
-                        imgs[i][p, q, off + p, off + q] = 1.0
-                off += n
-        action.append(tuple(imgs))
-    return ConcreteCorr(a, ConcreteModule(b, dims), tuple(action))
+    fibers = [
+        [(n, int(kind.matrix[i][j]), {i: None}) for i, n in enumerate(a.blocks)]
+        for j in range(b.block_count)
+    ]
+    return _assemble(a, b, fibers)
 
 
 @dataclass(frozen=True)
@@ -287,52 +271,57 @@ class ValidationReport:
 
 
 def _adjoint_violation(x: ConcreteCorr) -> float:
+    # One row of units at a time, e_{qp}^* against e_{pq} for every q, with one
+    # row-sized temporary alive at once: whole arrays would raise peak memory.
     worst = 0.0
-    for j in range(x.target.block_count):
-        for i, n in enumerate(x.source.blocks):
-            arr = x.action[j][i]
-            for p in range(n):
-                for q in range(n):
-                    worst = max(worst, _max_abs(arr[p, q].conj().T - arr[q, p]))
+    for per in x.action:
+        for arr in per:
+            for p in range(arr.shape[0]):
+                diff = arr[:, p].conj().swapaxes(1, 2)
+                diff -= arr[p]
+                worst = max(worst, _max_abs(diff))
+                del diff
     return worst
 
 
 def _nondegeneracy_violation(x: ConcreteCorr) -> float:
-    worst = 0.0
-    for j, d in enumerate(x.module.fiber_dims):
-        if d == 0:
-            continue
-        total = np.zeros((d, d), dtype=complex)
-        for i, n in enumerate(x.source.blocks):
-            for p in range(n):
-                total += x.action[j][i][p, p]
-        worst = max(worst, _max_abs(total - np.eye(d)))
-    return worst
+    unit = algebra_unit(x.source)
+    return max(
+        (
+            _max_abs(x.action_matrix(j, unit) - np.eye(d))
+            for j, d in enumerate(x.module.fiber_dims)
+            if d
+        ),
+        default=0.0,
+    )
 
 
 def _mult_violation_exhaustive(x: ConcreteCorr) -> float:
+    # One batched product of each unit e_{pq} of block i with every unit of
+    # the fiber; only the units e_{qs} of block i should give a nonzero product.
     worst = 0.0
-    for j, d in enumerate(x.module.fiber_dims):
-        units = []
-        for i, n in enumerate(x.source.blocks):
+    for per, d in zip(x.action, x.module.fiber_dims):
+        if d == 0 or not per:
+            continue
+        units = np.concatenate([arr.reshape(-1, d, d) for arr in per])
+        start = 0
+        for arr in per:
+            n = arr.shape[0]
             for p in range(n):
                 for q in range(n):
-                    units.append((i, p, q, x.action[j][i][p, q]))
-        for i1, p1, q1, u in units:
-            for i2, p2, q2, v in units:
-                prod = u @ v
-                if i1 == i2 and q1 == p2:
-                    prod = prod - x.action[j][i1][p1, q2]
-                worst = max(worst, _max_abs(prod))
+                    prod = arr[p, q] @ units
+                    prod[start + q * n : start + (q + 1) * n] -= arr[p]
+                    worst = max(worst, _max_abs(prod))
+            start += n * n
     return worst
 
 
-def _mult_violation_generic(x: ConcreteCorr, trials: int = 2) -> float:
-    # Deterministic generic elements: a failure of multiplicativity anywhere
+def _mult_violation_generic(x: ConcreteCorr) -> float:
+    # Two deterministic generic pairs: a failure of multiplicativity anywhere
     # shows up against a generic pair with probability one.
     rng = np.random.default_rng(0x5EED)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(2):
         a = tuple(
             rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             for n in x.source.blocks
@@ -348,6 +337,15 @@ def _mult_violation_generic(x: ConcreteCorr, trials: int = 2) -> float:
     return worst
 
 
+def _report(x: ConcreteCorr, multiplicativity: float, tol: float) -> ValidationReport:
+    checks = (
+        AxiomCheck("star-multiplicativity", multiplicativity),
+        AxiomCheck("star-adjoint", _adjoint_violation(x)),
+        AxiomCheck("nondegeneracy", _nondegeneracy_violation(x)),
+    )
+    return ValidationReport(checks, tol)
+
+
 def validate(x: ConcreteCorr, tol: float = VALIDATE_TOL) -> ValidationReport:
     """Measure every action axiom: star-homomorphism identities on all matrix
     units (multiplication and adjoints) and nondegeneracy (unit images summing
@@ -356,37 +354,19 @@ def validate(x: ConcreteCorr, tol: float = VALIDATE_TOL) -> ValidationReport:
     Exhaustive over unit pairs, so quadratic in the algebra dimension; meant
     for desk-scale modules.  A zero module passes vacuously.
     """
-    checks = (
-        AxiomCheck("star-multiplicativity", _mult_violation_exhaustive(x)),
-        AxiomCheck("star-adjoint", _adjoint_violation(x)),
-        AxiomCheck("nondegeneracy", _nondegeneracy_violation(x)),
-    )
-    return ValidationReport(checks, tol)
+    return _report(x, _mult_violation_exhaustive(x), tol)
 
 
-def _quick_validate(x: ConcreteCorr, tol: float) -> ValidationReport:
-    # classify-path validation: adjoints and nondegeneracy exhaustively,
-    # multiplicativity against fixed generic elements (cubic, not quartic).
-    checks = (
-        AxiomCheck("star-multiplicativity", _mult_violation_generic(x)),
-        AxiomCheck("star-adjoint", _adjoint_violation(x)),
-        AxiomCheck("nondegeneracy", _nondegeneracy_violation(x)),
-    )
-    return ValidationReport(checks, tol)
-
-
-def classify(
-    x: ConcreteCorr,
-    tol: float = CLASSIFY_TOL,
-    validate_tol: float = VALIDATE_TOL,
-) -> CorrClass:
+def classify(x: ConcreteCorr, tol: float = CLASSIFY_TOL) -> CorrClass:
     """Extract the multiplicity matrix of a validated concrete correspondence.
 
+    The action is validated as in `validate`, except that multiplicativity is
+    measured on fixed generic elements (cubic, not quartic, in the block size).
     k_{ij} is the rank of the image on fiber j of a minimal projection of
     source block i; since that image is a projection, the rank is its trace,
     rounded within `tol`.
     """
-    report = _quick_validate(x, validate_tol)
+    report = _report(x, _mult_violation_generic(x), VALIDATE_TOL)
     if not report.ok:
         raise ValidationError(
             f"action fails validation: {report.failures()} "
@@ -473,26 +453,12 @@ class InteriorTensor:
                 w = vec[:, keep] * np.sqrt(lam[keep])
                 parts.append((j, mu, w))
             layout.append(tuple(parts))
-        fibers = tuple(sum(dx[j] * mu for j, mu, _w in parts) for parts in layout)
-        _check_action_size(a, fibers)
-
-        actions: list[tuple[np.ndarray, ...]] = []
-        for f, parts in zip(fibers, layout):
-            per_source = []
-            for i, n in enumerate(a.blocks):
-                arr = np.zeros((n, n, f, f), dtype=complex)
-                off = 0
-                for j, mu, _w in parts:
-                    span = dx[j] * mu
-                    blk = np.einsum(
-                        "pqde,ab->pqdaeb", x.action[j][i], np.eye(mu)
-                    ).reshape(n, n, span, span)
-                    arr[:, :, off : off + span, off : off + span] = blk
-                    off += span
-                per_source.append(arr)
-            actions.append(tuple(per_source))
         self._layout = tuple(layout)
-        self.corr = ConcreteCorr(a, ConcreteModule(c, fibers), tuple(actions))
+        fibers = [
+            [(dx[j], mu, dict(enumerate(x.action[j]))) for j, mu, _w in parts]
+            for parts in layout
+        ]
+        self.corr = _assemble(a, c, fibers)
 
     def embed(self, x_elt, y_elt) -> Element:
         """Image of the elementary tensor x (x) y in the quotient module.
@@ -512,7 +478,7 @@ class InteriorTensor:
                 m = b.blocks[j]
                 e = self._y.module.fiber_dims[l]
                 t = np.einsum("up,vq->upvq", x_elt[j], y_elt[l]).reshape(d, m * e, cl)
-                rows.append(np.einsum("ka,ukq->uaq", w.conj(), t).reshape(d * mu, cl))
+                rows.append(np.einsum("ka,ukq->auq", w.conj(), t).reshape(d * mu, cl))
             out.append(np.vstack(rows))
         return tuple(out)
 

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from enchilada import ValidationError, run_random_checks
 from enchilada.cli import main
 
 X_JSON = {"source": {"blocks": [1]}, "target": {"blocks": [1, 1]}, "matrix": [[1, 0]]}
@@ -143,6 +146,32 @@ def test_oracle_tensor_rejects_oversized_fiber(capsys):
     assert "exceeds" in report["error"]
 
 
+def test_oracle_tensor_rejects_bad_tolerance(capsys):
+    # NaN would count every Gram eigenvalue as null and report a false mismatch.
+    pair = {
+        "x": {"source": {"blocks": [1]}, "target": {"blocks": [1]}, "matrix": [[2]]},
+        "y": {"source": {"blocks": [1]}, "target": {"blocks": [1]}, "matrix": [[1]]},
+    }
+    for tol in ("nan", "inf", "-inf", "0", "1", "-1e-3"):
+        code, report = run_json(
+            capsys, "oracle-tensor", "--input", json.dumps(pair), f"--tolerance={tol}"
+        )
+        assert code == 2, tol
+        assert "--tolerance must lie in (0, 1)" in report["error"]
+    code, report = run_json(
+        capsys, "oracle-tensor", "--input", json.dumps(pair), "--tolerance", "1e-3"
+    )
+    assert code == 0
+    assert report["fiber_dims"] == [2]
+    # The option is checked before either factor is realized.
+    pair["x"]["matrix"] = [[1000000000]]
+    code, report = run_json(
+        capsys, "oracle-tensor", "--input", json.dumps(pair), "--tolerance=nan"
+    )
+    assert code == 2
+    assert "--tolerance must lie in (0, 1)" in report["error"]
+
+
 def test_classify_predicates(capsys):
     code, report = run_json(capsys, "classify-predicates", "--input", json.dumps(X_JSON))
     assert code == 0
@@ -207,6 +236,24 @@ def test_random_check_rejects_boolean_count(capsys):
     code, report = run_json(capsys, "random-check", "--input", json.dumps({"laws": True}))
     assert code == 2
     assert "laws must be a positive integer" in report["error"]
+
+
+def test_random_check_rejects_bad_seed(capsys):
+    # numpy's SeedSequence raises ValueError on a negative seed.
+    code, report = run_json(capsys, "random-check", "--seed", "-1")
+    assert code == 2
+    assert "seed must be a non-negative integer" in report["error"]
+    for seed in (True, 1.0, "3"):
+        with pytest.raises(ValidationError, match="seed"):
+            run_random_checks(seed)
+
+
+def test_random_check_rejects_bad_tolerance(capsys):
+    # With NaN every `abs(...) > tol` comparison is false: every suite would pass.
+    for tol in ("nan", "inf", "0", "1"):
+        code, report = run_json(capsys, "random-check", f"--tolerance={tol}")
+        assert code == 2, tol
+        assert "--tolerance must lie in (0, 1)" in report["error"]
 
 
 def test_human_summary_plus_json(capsys):

@@ -96,6 +96,24 @@ def test_interior_tensor_caps_action_size(monkeypatch):
         InteriorTensor(two, four)
 
 
+def test_action_cap_bounds_the_total(monkeypatch):
+    # Three (1, 1, 9, 9) arrays of 81 entries each: every one is under the cap,
+    # their total of 243 is not.
+    monkeypatch.setattr(concrete, "MAX_ACTION_ENTRIES", 100)
+    with pytest.raises(ValidationError, match="exceeds"):
+        realize(CorrClass(make_algebra([1, 1, 1]), C1, ((3,), (3,), (3,))))
+    assert realize(CorrClass(make_algebra([1, 1]), C1, ((3,), (4,)))).module.fiber_dims == (7,)
+
+
+def test_action_cap_precedes_identity_images():
+    # The identity images of a 1000 x 1000 block would hold 10^12 entries;
+    # they are built only for blocks that occur, and only after the cap.
+    big = make_algebra([1000])
+    assert realize(CorrClass(big, C1, ((0,),))).module.fiber_dims == (0,)
+    with pytest.raises(ValidationError, match="exceeds"):
+        realize(CorrClass(big, C1, ((1,),)))
+
+
 def test_validate_realizations_pass():
     rng = np.random.default_rng(21)
     for _ in range(15):
@@ -116,6 +134,97 @@ def test_validate_flags_broken_adjoint():
     report = validate(broken)
     assert not report.ok
     assert "star-adjoint" in report.failures()
+    with pytest.raises(ValidationError):
+        classify(broken)
+
+
+def _adjoint_violation_loop(x):
+    worst = 0.0
+    for j in range(x.target.block_count):
+        for i, n in enumerate(x.source.blocks):
+            arr = x.action[j][i]
+            for p in range(n):
+                for q in range(n):
+                    worst = max(worst, concrete._max_abs(arr[p, q].conj().T - arr[q, p]))
+    return worst
+
+
+def _nondegeneracy_violation_loop(x):
+    worst = 0.0
+    for j, d in enumerate(x.module.fiber_dims):
+        if d == 0:
+            continue
+        total = np.zeros((d, d), dtype=complex)
+        for i, n in enumerate(x.source.blocks):
+            for p in range(n):
+                total += x.action[j][i][p, p]
+        worst = max(worst, concrete._max_abs(total - np.eye(d)))
+    return worst
+
+
+def _mult_violation_loop(x):
+    worst = 0.0
+    for j, d in enumerate(x.module.fiber_dims):
+        units = []
+        for i, n in enumerate(x.source.blocks):
+            for p in range(n):
+                for q in range(n):
+                    units.append((i, p, q, x.action[j][i][p, q]))
+        for i1, p1, q1, u in units:
+            for i2, p2, q2, v in units:
+                prod = u @ v
+                if i1 == i2 and q1 == p2:
+                    prod = prod - x.action[j][i1][p1, q2]
+                worst = max(worst, concrete._max_abs(prod))
+    return worst
+
+
+def _assert_validators_match_loops(x):
+    report = validate(x)
+    got = {c.name: c.violation for c in report.checks}
+    want = {
+        "star-multiplicativity": _mult_violation_loop(x),
+        "star-adjoint": _adjoint_violation_loop(x),
+        "nondegeneracy": _nondegeneracy_violation_loop(x),
+    }
+    # The batched code sums in another order: each violation may move by a few
+    # ulps of the O(1) entries it is computed from, hence the absolute term.
+    for name, value in want.items():
+        assert got[name] == pytest.approx(value, rel=1e-12, abs=1e-14), name
+    assert report.failures() == [n for n, v in want.items() if v > report.tol]
+    return report
+
+
+def test_batched_validators_match_loops():
+    # The loops above are the unbatched reference for validate's three checks.
+    rng = np.random.default_rng(31)
+    failing = 0
+    for case in range(300):
+        a, b = random_algebra(rng), random_algebra(rng)
+        x = realize(random_corr(rng, a, b))
+        if case % 3:
+            action = [list(per) for per in x.action]
+            for j, per in enumerate(action):
+                for i, arr in enumerate(per):
+                    if arr.size and rng.random() < 0.3:
+                        scale = 10.0 ** rng.integers(-12, 0)
+                        noise = rng.standard_normal(arr.shape) + 1j * rng.standard_normal(arr.shape)
+                        action[j][i] = arr + scale * noise
+            x = ConcreteCorr(x.source, x.module, tuple(tuple(per) for per in action))
+        failing += not _assert_validators_match_loops(x).ok
+    assert failing > 50
+
+
+def test_validate_flags_broken_cross_block_product():
+    # Two rank-one projections on one fiber, self-adjoint and idempotent, but
+    # not orthogonal: only the product e_0 e_1 of different blocks is nonzero.
+    x = realize(CorrClass(C2, C1, ((1,), (1,))))
+    v = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    images = (np.diag([1.0, 0.0]).reshape(1, 1, 2, 2), np.outer(v, v).reshape(1, 1, 2, 2))
+    broken = ConcreteCorr(x.source, x.module, (images,))
+    report = _assert_validators_match_loops(broken)
+    assert "star-multiplicativity" in report.failures()
+    assert "star-adjoint" not in report.failures()
     with pytest.raises(ValidationError):
         classify(broken)
 
@@ -331,6 +440,15 @@ def test_balancing_in_quotient():
         )
         lhs = t.embed(x.module.right_mul(xe, bb), ye)
         rhs = t.embed(xe, y.apply(bb, ye))
+        for l, r in zip(lhs, rhs):
+            assert np.abs(l - r).max(initial=0.0) < 1e-8
+        # embed's coordinates carry the left action of t.corr.
+        aa = tuple(
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for n in a.blocks
+        )
+        lhs = t.embed(x.apply(aa, xe), ye)
+        rhs = t.corr.apply(aa, t.embed(xe, ye))
         for l, r in zip(lhs, rhs):
             assert np.abs(l - r).max(initial=0.0) < 1e-8
 

@@ -43,3 +43,33 @@ def test_relative_imports_are_acyclic():
 def test_no_function_local_relative_imports():
     local = [(a, b) for a, b, in_function in _relative_imports() if in_function]
     assert local == []
+
+
+def _bound_names(tree):
+    """Names bound at module level by a definition, assignment or import."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def test_all_names_are_defined():
+    stale = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        exported = [
+            ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        ]
+        bound = _bound_names(tree)
+        stale.extend((path.stem, name) for names in exported for name in names if name not in bound)
+    assert stale == []
