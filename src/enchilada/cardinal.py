@@ -1,123 +1,39 @@
 """Extended-natural multiplicities, the entries of correspondence matrices.
 
-Multiplicities live in N together with a single infinite value INF (a
-countably infinite multiplicity).  Addition and multiplication follow the
-usual semiring rules with one pinned convention:
-
-    INF + x = INF        INF * x = INF  (x >= 1)        INF * 0 = 0
-
-The zero-product rule is what keeps matrix composition compatible with the
-vanishing criterion for balanced tensor products when an infinite
-multiplicity meets a zero column.
+An entry is a non-negative Python int or INF, the float infinity, which
+stands for a countably infinite multiplicity.  Sums and nonzero products of
+these follow the semiring rules as they stand (INF + x = INF, INF * x = INF
+for x >= 1), but the scalar INF * 0 is NaN.  Only `corr.compose` applies
+the pinned convention INF * 0 = 0, by skipping every term with a zero
+factor; that rule keeps matrix composition compatible with the vanishing
+criterion for balanced tensor products when an infinite multiplicity meets
+a zero column.
 """
 
 from __future__ import annotations
 
-from functools import total_ordering
+import math
 
 from .errors import ValidationError
 
-__all__ = ["Cardinal", "INF", "card"]
+__all__ = ["INF", "card"]
+
+INF = math.inf
 
 
-def _coerce(value):
-    """Cardinal for ints and Cardinals, None for anything else."""
-    if isinstance(value, Cardinal):
-        return value
-    if isinstance(value, bool) or not isinstance(value, int):
-        return None
-    if value < 0:
-        return None
-    return Cardinal(value)
-
-
-@total_ordering
-class Cardinal:
-    """A multiplicity: a non-negative integer or the infinite value INF."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value: int | None = None):
-        if value is not None:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(
-                    f"multiplicity must be an integer or None, got {value!r}"
-                )
-            if value < 0:
-                raise ValidationError(f"multiplicity must be non-negative, got {value}")
-        self._value = value
-
-    @property
-    def is_finite(self) -> bool:
-        return self._value is not None
-
-    def __int__(self) -> int:
-        if self._value is None:
-            raise ValidationError("INF has no integer value")
-        return self._value
-
-    def __add__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        if self._value is None or o._value is None:
-            return INF
-        return Cardinal(self._value + o._value)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self._value, o._value
-        if a == 0 or b == 0:
-            return Cardinal(0)
-        if a is None or b is None:
-            return INF
-        return Cardinal(a * b)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._value == o._value
-
-    def __hash__(self):
-        return hash(self._value)
-
-    def __lt__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        if self._value is None:
-            return False
-        if o._value is None:
-            return True
-        return self._value < o._value
-
-    def __bool__(self) -> bool:
-        return self._value != 0
-
-    def __repr__(self) -> str:
-        return "INF" if self._value is None else str(self._value)
-
-
-INF = Cardinal(None)
-
-
-def card(value) -> Cardinal:
-    """Coerce an int, the token "inf", or a Cardinal to a Cardinal."""
-    if isinstance(value, Cardinal):
-        return value
+def card(value) -> int | float:
+    """Check one matrix entry: a non-negative int, or INF for "inf" or a
+    float infinity."""
     if isinstance(value, str):
         if value == "inf":
             return INF
         raise ValidationError(
             f'the only non-integer multiplicity token is "inf", got {value!r}'
         )
+    if isinstance(value, float) and value == INF:
+        return INF
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f'multiplicity must be an integer or "inf", got {value!r}')
-    return Cardinal(value)
+    if value < 0:
+        raise ValidationError(f"multiplicity must be non-negative, got {value}")
+    return value

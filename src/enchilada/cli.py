@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -64,16 +65,27 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _finite_float(token: str) -> float:
+    # Infinity and NaN (not in RFC 8259) and overflowing numbers such as 1e400
+    # would reach card as float infinities; "inf" is the only non-integer token.
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValidationError(
+            f'{token} is not a finite number; write an infinite multiplicity as "inf"'
+        )
+    return value
+
+
 def _load_input(raw: str | None):
     if raw is None:
         return None
     text = raw.strip()
-    if text.startswith("{") or text.startswith("["):
-        return json.loads(text)
-    path = Path(raw)
-    if path.exists():
-        return json.loads(path.read_text())
-    return text  # bare token, e.g. a gallery name
+    if not (text.startswith("{") or text.startswith("[")):
+        path = Path(raw)
+        if not path.exists():
+            return text  # bare token, e.g. a gallery name
+        text = path.read_text()
+    return json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
 
 
 def _need(obj, what: str):

@@ -14,6 +14,7 @@ cross-checked against floating-point reality instead of against itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +61,11 @@ AlgebraElement = tuple[np.ndarray, ...]
 
 
 def _max_abs(arr: np.ndarray) -> float:
+    # numpy's max propagates NaN; a NaN entry reads as an infinite violation.
     if arr.size == 0:
         return 0.0
-    return float(np.abs(arr).max())
+    worst = float(np.abs(arr).max())
+    return math.inf if math.isnan(worst) else worst
 
 
 def algebra_unit(a: FdCStarAlgebra) -> AlgebraElement:
@@ -234,7 +237,7 @@ def realize(kind: CorrClass) -> ConcreteCorr:
         raise ValidationError("cannot realize a class with infinite multiplicities")
     a, b = kind.source, kind.target
     fibers = [
-        [(n, int(kind.matrix[i][j]), {i: None}) for i, n in enumerate(a.blocks)]
+        [(n, kind.matrix[i][j], {i: None}) for i, n in enumerate(a.blocks)]
         for j in range(b.block_count)
     ]
     return _assemble(a, b, fibers)

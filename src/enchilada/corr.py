@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebras import FdCStarAlgebra, IdealRef, make_ideal, quotient
-from .cardinal import Cardinal, card
+from .cardinal import INF, card
 from .errors import ValidationError
 
 __all__ = [
@@ -55,32 +55,25 @@ __all__ = [
     "epi_finite_rank_test",
 ]
 
-_ZERO = card(0)
-_ONE = card(1)
-
-
 @dataclass(frozen=True)
 class CorrClass:
     """The isomorphism class of a nondegenerate correspondence A -> B."""
 
     source: FdCStarAlgebra
     target: FdCStarAlgebra
-    matrix: tuple[tuple[Cardinal, ...], ...]
+    matrix: tuple[tuple[int | float, ...], ...]
 
     def __post_init__(self):
         r, s = self.source.block_count, self.target.block_count
-        rows = tuple(self.matrix)
+        rows = tuple(tuple(map(card, row)) for row in self.matrix)
         if len(rows) != r:
             raise ValidationError(f"matrix has {len(rows)} rows, source has {r} blocks")
-        norm = []
         for row in rows:
-            row = tuple(card(x) for x in row)
             if len(row) != s:
                 raise ValidationError(
                     f"matrix row has {len(row)} entries, target has {s} blocks"
                 )
-            norm.append(row)
-        object.__setattr__(self, "matrix", tuple(norm))
+        object.__setattr__(self, "matrix", rows)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -93,14 +86,15 @@ class CorrClass:
 
     @property
     def all_finite(self) -> bool:
-        return all(x.is_finite for row in self.matrix for x in row)
+        return all(INF not in row for row in self.matrix)
 
-    def entry(self, i: int, j: int) -> Cardinal:
+    def entry(self, i: int, j: int) -> int | float:
         return self.matrix[i][j]
 
     def __repr__(self) -> str:
         body = "[" + ", ".join(
-            "[" + ", ".join(map(repr, row)) + "]" for row in self.matrix
+            "[" + ", ".join("INF" if v == INF else str(v) for v in row) + "]"
+            for row in self.matrix
         ) + "]"
         return f"CorrClass({list(self.source.blocks)} -> {list(self.target.blocks)}; {body})"
 
@@ -118,22 +112,32 @@ def zero_corr(a: FdCStarAlgebra, b: FdCStarAlgebra) -> CorrClass:
     return CorrClass(a, b, rows)
 
 
+def _total(terms) -> int | float:
+    """The sum of non-negative entries.
+
+    Python raises OverflowError when an int beyond float range meets INF in a
+    sum or product; the true value is then INF.
+    """
+    try:
+        return sum(terms)
+    except OverflowError:
+        return INF
+
+
 def compose(x: CorrClass, y: CorrClass) -> CorrClass:
     """Composition A -> C of X : A -> B with Y : B -> C (tensor over B).
 
-    The matrix is the cardinal product X.matrix * Y.matrix.
+    The matrix is the cardinal product X.matrix * Y.matrix, where a term
+    with a zero factor is skipped: that is the rule INF * 0 = 0.
     """
     if x.target != y.source:
         raise ValidationError(
             f"cannot compose: first ends at {x.target!r}, second starts at {y.source!r}"
         )
-    mid = x.target.block_count
+    cols = _columns(y)
     rows = tuple(
-        tuple(
-            sum((x.matrix[i][t] * y.matrix[t][j] for t in range(mid)), _ZERO)
-            for j in range(y.target.block_count)
-        )
-        for i in range(x.source.block_count)
+        tuple(_total(a * b for a, b in zip(row, col) if a and b) for col in cols)
+        for row in x.matrix
     )
     return CorrClass(x.source, y.target, rows)
 
@@ -146,7 +150,7 @@ def direct_sum(x: CorrClass, y: CorrClass) -> CorrClass:
     if x.source != y.source or x.target != y.target:
         raise ValidationError("direct sum requires equal endpoints")
     rows = tuple(
-        tuple(a + b for a, b in zip(xr, yr)) for xr, yr in zip(x.matrix, y.matrix)
+        tuple(map(_total, zip(xr, yr))) for xr, yr in zip(x.matrix, y.matrix)
     )
     return CorrClass(x.source, x.target, rows)
 
@@ -250,10 +254,10 @@ def is_hilbert_bimodule(x: CorrClass) -> bool:
     for row in x.matrix:
         row_ones = 0
         for j, v in enumerate(row):
-            if v == _ONE:
+            if v == 1:
                 row_ones += 1
                 col_ones[j] += 1
-            elif v != _ZERO:
+            elif v:
                 return False
         if row_ones > 1:
             return False
@@ -271,7 +275,7 @@ def is_left_full_hilbert_bimodule(x: CorrClass) -> bool:
     return is_hilbert_bimodule(x) and phi_injective(x)
 
 
-def _columns(x: CorrClass) -> tuple[tuple[Cardinal, ...], ...]:
+def _columns(x: CorrClass) -> tuple[tuple[int | float, ...], ...]:
     return tuple(zip(*x.matrix)) or ((),) * x.target.block_count
 
 
@@ -288,7 +292,7 @@ def _private_units(lines, cross) -> list[int] | None:
     picks = []
     for line in lines:
         for j, v in enumerate(line):
-            if v == _ONE and sum(map(bool, cross[j])) == 1:
+            if v == 1 and sum(map(bool, cross[j])) == 1:
                 picks.append(j)
                 break
         else:
@@ -399,13 +403,13 @@ def factor_through_quotient(x: CorrClass, ideal: IdealRef) -> CorrClass:
     return CorrClass(quotient(x.source, ideal), x.target, rows)
 
 
-def _int_rows(x: CorrClass, what: str) -> list[list[int]]:
+def _int_rows(x: CorrClass, what: str) -> tuple[tuple[int, ...], ...]:
     if not x.all_finite:
         raise ValidationError(f"{what} requires finite entries, found INF")
-    return [[int(v) for v in row] for row in x.matrix]
+    return x.matrix
 
 
-def _rational_rank(rows: list[list[int]]) -> int:
+def _rational_rank(rows: tuple[tuple[int, ...], ...]) -> int:
     """Exact rank over Q by fraction-arithmetic Gaussian elimination."""
     m = [[Fraction(v) for v in row] for row in rows]
     if not m:

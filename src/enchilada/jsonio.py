@@ -8,7 +8,7 @@ matrix dimensions must match the block counts of the endpoint algebras.
 from __future__ import annotations
 
 from .algebras import FdCStarAlgebra, IdealRef, make_ideal
-from .cardinal import Cardinal, card
+from .cardinal import INF
 from .corr import CorrClass
 from .errors import ValidationError
 from .exactness import SequenceSpec
@@ -19,7 +19,6 @@ __all__ = [
     "ideal_to_json",
     "ideal_from_json",
     "cardinal_to_json",
-    "cardinal_from_json",
     "corr_to_json",
     "corr_from_json",
     "sequence_to_json",
@@ -64,12 +63,8 @@ def ideal_from_json(parent: FdCStarAlgebra, obj) -> IdealRef:
     return make_ideal(parent, shifted)
 
 
-def cardinal_to_json(c: Cardinal) -> int | str:
-    return int(c) if c.is_finite else "inf"
-
-
-def cardinal_from_json(value) -> Cardinal:
-    return card(value)
+def cardinal_to_json(c: int | float) -> int | str:
+    return "inf" if c == INF else c
 
 
 def corr_to_json(x: CorrClass) -> dict:
@@ -85,11 +80,8 @@ def corr_from_json(obj) -> CorrClass:
     source = algebra_from_json(obj.get("source"))
     target = algebra_from_json(obj.get("target"))
     matrix = _require_list(obj.get("matrix"), 'correspondence "matrix"')
-    rows = []
-    for row in matrix:
-        row = _require_list(row, "matrix row")
-        rows.append(tuple(cardinal_from_json(v) for v in row))
-    return CorrClass(source, target, tuple(rows))
+    rows = [_require_list(row, "matrix row") for row in matrix]
+    return CorrClass(source, target, rows)
 
 
 def sequence_to_json(seq: SequenceSpec) -> dict:

@@ -59,6 +59,14 @@ def test_malformed_json_exits_2(capsys):
     assert "error" in report
 
 
+@pytest.mark.parametrize("constant", ["Infinity", "NaN", "1e400"])
+def test_non_json_constants_exit_2(capsys, constant):
+    x = '{"source": {"blocks": [1]}, "target": {"blocks": [1]}, "matrix": [[%s]]}' % constant
+    code, report = run_json(capsys, "kernel", "--input", x)
+    assert code == 2
+    assert "error" in report
+
+
 def test_missing_input_exits_2(capsys):
     code, report = run_json(capsys, "compose")
     assert code == 2

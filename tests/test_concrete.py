@@ -229,6 +229,19 @@ def test_validate_flags_broken_cross_block_product():
         classify(broken)
 
 
+@pytest.mark.parametrize("entry", [(0, 1), (0, 0)], ids=["off-diagonal", "diagonal"])
+def test_validate_flags_nan_entry(entry):
+    x = realize(CorrClass(C1, C1, ((2,),)))
+    arr = np.array(x.action[0][0], copy=True)
+    arr[(0, 0) + entry] = np.nan
+    broken = ConcreteCorr(x.source, x.module, ((arr,),))
+    report = validate(broken)
+    assert not report.ok
+    assert report.failures()
+    with pytest.raises(ValidationError):
+        classify(broken)
+
+
 def test_validate_zero_module_vacuous():
     x = realize(zero := CorrClass(C1, C1, ((0,),)))
     assert validate(x).ok

@@ -88,6 +88,18 @@ def test_direct_sum():
         direct_sum(one, corr(C1, C2, [[1, 0]]))
 
 
+def test_huge_entries_meet_inf():
+    # An int beyond float range cannot be added to or multiplied with the
+    # float INF; the sum or product is still INF.
+    assert compose(corr(C1, C2, [[10**400, INF]]), corr(C2, C1, [[1], [1]])).matrix == ((INF,),)
+    assert compose(
+        corr(C1, C2, [[10**300, INF]]), corr(C2, C1, [[10**300], [1]])
+    ).matrix == ((INF,),)
+    assert direct_sum(corr(C1, C1, [[10**400]]), corr(C1, C1, [[INF]])).matrix == ((INF,),)
+    exact = compose(corr(C1, C2, [[10**300, 0]]), corr(C2, C1, [[10**300], [INF]]))
+    assert exact.matrix == ((10**600,),)
+
+
 def test_supports():
     assert right_support(corr(C1, C2, [[1, 0]])).members == {0}
     assert right_support(zero_corr(C1, C2)).members == set()
