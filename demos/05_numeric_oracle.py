@@ -31,7 +31,8 @@ L = CorrClass(A, A, [[3]])
 
 x, y = realize(K), realize(L)
 print("module of realize([[2]]): fibers", x.module.fiber_dims)
-print("validation:", validate(x).ok, "max violation", validate(x).max_violation)
+report = validate(x)
+print("validation:", report.ok, "max violation", report.max_violation)
 
 t = InteriorTensor(x, y)
 print("\ntensor fiber dims:", t.corr.module.fiber_dims)

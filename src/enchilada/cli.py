@@ -85,7 +85,26 @@ def _load_input(raw: str | None):
         if not path.exists():
             return text  # bare token, e.g. a gallery name
         text = path.read_text()
-    return json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
+    try:
+        return json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
+    except RecursionError:
+        raise ValidationError("the input nests too deeply to parse") from None
+    except (json.JSONDecodeError, ValidationError):
+        raise
+    except ValueError:  # int() refuses more than sys.get_int_max_str_digits() digits
+        raise ValidationError(
+            f"an integer in the input has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
+def _dumps(report: dict) -> str:
+    try:
+        return json.dumps(report, indent=2)
+    except ValueError:  # an int beyond sys.get_int_max_str_digits(), e.g. a product
+        raise ValidationError(
+            f"the result has an integer of more than {sys.get_int_max_str_digits()} "
+            "digits, which cannot be printed"
+        ) from None
 
 
 def _need(obj, what: str):
@@ -300,6 +319,7 @@ def main(argv=None) -> int:
     try:
         obj = _load_input(args.input)
         code, report, lines = _HANDLERS[args.verb](args.verb, obj, args)
+        text = _dumps(report)
     except (ValidationError, json.JSONDecodeError, OSError) as exc:
         report = {"error": str(exc)}
         if not args.json_only:
@@ -309,7 +329,7 @@ def main(argv=None) -> int:
     if not args.json_only:
         for line in lines:
             print(line)
-    print(json.dumps(report, indent=2))
+    print(text)
     return code
 
 

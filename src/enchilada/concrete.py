@@ -182,10 +182,11 @@ class ConcreteCorr:
     def action_matrix(self, j: int, a: AlgebraElement) -> np.ndarray:
         """The operator on fiber j induced by an algebra element."""
         d = self.module.fiber_dims[j]
-        out = np.zeros((d, d), dtype=complex)
+        out = np.zeros(d * d, dtype=complex)
         for ai, arr in zip(a, self.action[j]):
-            out += np.einsum("pq,pqde->de", np.asarray(ai, dtype=complex), arr)
-        return out
+            n = arr.shape[0]
+            out += np.asarray(ai, dtype=complex).reshape(n * n) @ arr.reshape(n * n, d * d)
+        return out.reshape(d, d)
 
     def apply(self, a: AlgebraElement, x) -> Element:
         """Left action of an algebra element on a module element."""
@@ -274,48 +275,49 @@ class ValidationReport:
 
 
 def _adjoint_violation(x: ConcreteCorr) -> float:
-    # One row of units at a time, e_{qp}^* against e_{pq} for every q, with one
-    # row-sized temporary alive at once: whole arrays would raise peak memory.
+    # e_{1p}^* = e_{p1} for every p; with multiplicativity this gives
+    # e_{pq}^* = (e_{p1} e_{1q})^* = e_{q1} e_{1p} = e_{qp} (see DECISIONS.md).
     worst = 0.0
     for per in x.action:
         for arr in per:
-            for p in range(arr.shape[0]):
-                diff = arr[:, p].conj().swapaxes(1, 2)
-                diff -= arr[p]
-                worst = max(worst, _max_abs(diff))
-                del diff
+            diff = arr[0].conj().swapaxes(1, 2)
+            diff -= arr[:, 0]
+            worst = max(worst, _max_abs(diff))
     return worst
 
 
 def _nondegeneracy_violation(x: ConcreteCorr) -> float:
-    unit = algebra_unit(x.source)
     return max(
         (
-            _max_abs(x.action_matrix(j, unit) - np.eye(d))
-            for j, d in enumerate(x.module.fiber_dims)
+            _max_abs(sum(arr.trace() for arr in per) - np.eye(d))
+            for per, d in zip(x.action, x.module.fiber_dims)
             if d
         ),
         default=0.0,
     )
 
 
-def _mult_violation_exhaustive(x: ConcreteCorr) -> float:
-    # One batched product of each unit e_{pq} of block i with every unit of
-    # the fiber; only the units e_{qs} of block i should give a nonzero product.
+def _mult_violation_relations(x: ConcreteCorr) -> float:
+    # e_{pq} = e_{p1} e_{1q} and e_{1p} e_{q1} = delta_{pq} e_{11} in each block
+    # and P_i P_k = 0 across blocks, where P_i = sum_p e_pp is the trace over the
+    # unit indices, imply every product relation of the matrix units (see
+    # DECISIONS.md).  Each residual is formed in place in its product.
     worst = 0.0
     for per, d in zip(x.action, x.module.fiber_dims):
         if d == 0 or not per:
             continue
-        units = np.concatenate([arr.reshape(-1, d, d) for arr in per])
-        start = 0
         for arr in per:
-            n = arr.shape[0]
-            for p in range(n):
-                for q in range(n):
-                    prod = arr[p, q] @ units
-                    prod[start + q * n : start + (q + 1) * n] -= arr[p]
-                    worst = max(worst, _max_abs(prod))
-            start += n * n
+            prod = arr[:, :1] @ arr[:1]
+            prod -= arr
+            worst = max(worst, _max_abs(prod))
+            prod = arr[0][:, None] @ arr[:, 0][None]
+            prod[np.diag_indices(len(arr))] -= arr[0, 0]
+            worst = max(worst, _max_abs(prod))
+        units = np.stack([arr.trace() for arr in per])
+        for i, unit in enumerate(units):
+            prod = unit @ units
+            prod[i] = 0
+            worst = max(worst, _max_abs(prod))
     return worst
 
 
@@ -350,21 +352,22 @@ def _report(x: ConcreteCorr, multiplicativity: float, tol: float) -> ValidationR
 
 
 def validate(x: ConcreteCorr, tol: float = VALIDATE_TOL) -> ValidationReport:
-    """Measure every action axiom: star-homomorphism identities on all matrix
-    units (multiplication and adjoints) and nondegeneracy (unit images summing
-    to the identity on each nonzero fiber).
+    """Measure every action axiom through relations that imply it.
 
-    Exhaustive over unit pairs, so quadratic in the algebra dimension; meant
-    for desk-scale modules.  A zero module passes vacuously.
+    Multiplicativity: e_{pq} = e_{p1} e_{1q} and e_{1p} e_{q1} = delta_{pq} e_{11}
+    in each block, and P_i P_k = 0 for the images of distinct block units, in
+    2 sum_i n_i^2 + r^2 products per fiber.  Adjoints: e_{1p}^* = e_{p1}.
+    Nondegeneracy: unit images summing to the identity on each nonzero fiber.
+    A zero module passes vacuously.
     """
-    return _report(x, _mult_violation_exhaustive(x), tol)
+    return _report(x, _mult_violation_relations(x), tol)
 
 
 def classify(x: ConcreteCorr, tol: float = CLASSIFY_TOL) -> CorrClass:
     """Extract the multiplicity matrix of a validated concrete correspondence.
 
     The action is validated as in `validate`, except that multiplicativity is
-    measured on fixed generic elements (cubic, not quartic, in the block size).
+    measured on two fixed generic pairs, which is faster on large fibers.
     k_{ij} is the rank of the image on fiber j of a minimal projection of
     source block i; since that image is a projection, the rank is its trace,
     rounded within `tol`.

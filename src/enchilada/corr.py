@@ -93,10 +93,18 @@ class CorrClass:
 
     def __repr__(self) -> str:
         body = "[" + ", ".join(
-            "[" + ", ".join("INF" if v == INF else str(v) for v in row) + "]"
+            "[" + ", ".join("INF" if v == INF else _entry_text(v) for v in row) + "]"
             for row in self.matrix
         ) + "]"
         return f"CorrClass({list(self.source.blocks)} -> {list(self.target.blocks)}; {body})"
+
+
+def _entry_text(v: int) -> str:
+    # str() refuses ints beyond sys.get_int_max_str_digits(); hex() does not.
+    try:
+        return str(v)
+    except ValueError:
+        return hex(v)
 
 
 def identity_corr(a: FdCStarAlgebra) -> CorrClass:

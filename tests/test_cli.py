@@ -67,6 +67,31 @@ def test_non_json_constants_exit_2(capsys, constant):
     assert "error" in report
 
 
+def _one_by_one(entry: str) -> str:
+    # Written out by hand: json.dumps cannot print ints of over 4300 digits.
+    return '{"source": {"blocks": [1]}, "target": {"blocks": [1]}, "matrix": [[%s]]}' % entry
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["kernel", "--input", "[" * 100_000], "nests too deeply"),
+        (["kernel", "--input", _one_by_one("1" + "0" * 5000)], "in the input has more than"),
+        (
+            ["compose", "--input", '{"x": %s, "y": %s}' % ((_one_by_one("1" + "0" * 3000),) * 2)],
+            "cannot be printed",
+        ),
+    ],
+    ids=["deep-nesting", "long-integer-input", "long-integer-result"],
+)
+def test_oversized_input_and_result_exit_2(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in json.loads(captured.out)["error"]
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_missing_input_exits_2(capsys):
     code, report = run_json(capsys, "compose")
     assert code == 2

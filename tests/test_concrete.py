@@ -179,29 +179,36 @@ def _mult_violation_loop(x):
     return worst
 
 
-def _assert_validators_match_loops(x):
+def _assert_validators_bounded_by_loops(x):
+    # validate measures the matrix-unit relations, not every product, so its
+    # numbers are bounded by the loops' (DECISIONS.md): each relation residual
+    # is one product of the loop, except P_i P_k, a sum of n_i n_k of them, and
+    # the adjoint check compares a subset of the loop's pairs.  The absolute
+    # terms allow for the other summation order.
     report = validate(x)
     got = {c.name: c.violation for c in report.checks}
-    want = {
-        "star-multiplicativity": _mult_violation_loop(x),
-        "star-adjoint": _adjoint_violation_loop(x),
-        "nondegeneracy": _nondegeneracy_violation_loop(x),
-    }
-    # The batched code sums in another order: each violation may move by a few
-    # ulps of the O(1) entries it is computed from, hence the absolute term.
-    for name, value in want.items():
-        assert got[name] == pytest.approx(value, rel=1e-12, abs=1e-14), name
-    assert report.failures() == [n for n, v in want.items() if v > report.tol]
+    mult = _mult_violation_loop(x)
+    adjoint = _adjoint_violation_loop(x)
+    nondegeneracy = _nondegeneracy_violation_loop(x)
+    blocks = x.source.blocks
+    factor = max(
+        [1] + [n * m for i, n in enumerate(blocks) for k, m in enumerate(blocks) if i != k]
+    )
+    assert got["nondegeneracy"] == pytest.approx(nondegeneracy, rel=1e-12, abs=1e-14)
+    assert got["star-adjoint"] <= adjoint + 1e-14
+    assert got["star-multiplicativity"] <= factor * (mult + 1e-14)
+    assert report.ok == (max(mult, adjoint, nondegeneracy) <= report.tol)
     return report
 
 
-def test_batched_validators_match_loops():
-    # The loops above are the unbatched reference for validate's three checks.
-    rng = np.random.default_rng(31)
-    failing = 0
-    for case in range(300):
+def _perturbed_realizations(seed, cases=300):
+    # Realized random classes; two in three get noise of scale 1e-12 to 1e-1
+    # on some of their unit-image arrays.
+    rng = np.random.default_rng(seed)
+    for case in range(cases):
         a, b = random_algebra(rng), random_algebra(rng)
-        x = realize(random_corr(rng, a, b))
+        kind = random_corr(rng, a, b)
+        x = realize(kind)
         if case % 3:
             action = [list(per) for per in x.action]
             for j, per in enumerate(action):
@@ -211,8 +218,38 @@ def test_batched_validators_match_loops():
                         noise = rng.standard_normal(arr.shape) + 1j * rng.standard_normal(arr.shape)
                         action[j][i] = arr + scale * noise
             x = ConcreteCorr(x.source, x.module, tuple(tuple(per) for per in action))
-        failing += not _assert_validators_match_loops(x).ok
+        yield kind, x
+
+
+def test_batched_validators_match_loops():
+    # The loops above are the exhaustive reference for validate's three checks.
+    failing = 0
+    for _kind, x in _perturbed_realizations(31):
+        failing += not _assert_validators_bounded_by_loops(x).ok
     assert failing > 50
+
+
+def test_classify_refuses_as_full_adjoint_report():
+    # classify compares adjoints on the first row of units only; next to its
+    # generic-pair product check that refuses the same actions as comparing
+    # every pair of units.
+    refused = 0
+    for kind, x in _perturbed_realizations(32):
+        full = concrete.ValidationReport(
+            (
+                concrete.AxiomCheck("star-multiplicativity", concrete._mult_violation_generic(x)),
+                concrete.AxiomCheck("star-adjoint", _adjoint_violation_loop(x)),
+                concrete.AxiomCheck("nondegeneracy", _nondegeneracy_violation_loop(x)),
+            ),
+            concrete.VALIDATE_TOL,
+        )
+        if full.ok:
+            assert classify(x) == kind
+        else:
+            with pytest.raises(ValidationError, match="action fails validation"):
+                classify(x)
+            refused += 1
+    assert refused > 50
 
 
 def test_validate_flags_broken_cross_block_product():
@@ -222,9 +259,72 @@ def test_validate_flags_broken_cross_block_product():
     v = np.array([1.0, 1.0]) / np.sqrt(2.0)
     images = (np.diag([1.0, 0.0]).reshape(1, 1, 2, 2), np.outer(v, v).reshape(1, 1, 2, 2))
     broken = ConcreteCorr(x.source, x.module, (images,))
-    report = _assert_validators_match_loops(broken)
+    report = _assert_validators_bounded_by_loops(broken)
     assert "star-multiplicativity" in report.failures()
     assert "star-adjoint" not in report.failures()
+    with pytest.raises(ValidationError):
+        classify(broken)
+
+
+def _with_images(x, j, i, arr):
+    action = [list(per) for per in x.action]
+    action[j][i] = arr
+    return ConcreteCorr(x.source, x.module, tuple(tuple(per) for per in action))
+
+
+def test_validate_flags_non_first_diagonal_unit():
+    # Only e_22 is touched, and not self-adjointly; the adjoint check, which
+    # compares the first row of units with the first column, does not see it.
+    x = realize(identity_corr(M2))
+    arr = np.array(x.action[0][0], copy=True)
+    arr[1, 1, 0, 1] += 0.1
+    broken = _with_images(x, 0, 0, arr)
+    report = validate(broken)
+    assert not report.ok
+    assert "star-multiplicativity" in report.failures()
+    assert "star-adjoint" not in report.failures()
+    with pytest.raises(ValidationError):
+        classify(broken)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["P1P0", "P0P1"])
+def test_validate_flags_one_sided_block_product(order):
+    # Idempotents e and f with e f = 0 but f e != 0: only one ordered product
+    # of the two block units breaks.
+    x = realize(CorrClass(C2, C1, ((1,), (1,))))
+    e, f = np.diag([1.0, 0.0]), np.array([[0.0, 0.0], [1.0, 1.0]])
+    assert not (e @ f).any() and (f @ e).any()
+    images = [None, None]
+    images[order[0]], images[order[1]] = e.reshape(1, 1, 2, 2), f.reshape(1, 1, 2, 2)
+    broken = ConcreteCorr(x.source, x.module, (tuple(images),))
+    report = validate(broken)
+    assert not report.ok
+    assert "star-multiplicativity" in report.failures()
+    with pytest.raises(ValidationError):
+        classify(broken)
+
+
+def test_validate_flags_corner_compression():
+    # a -> a_11 from M_2 to C is unital, *-preserving and satisfies
+    # e_pq = e_p1 e_1q, but e_12 e_21 = 0, not e_11: only the relation
+    # e_1p e_q1 = delta_pq e_11 sees it.
+    arr = np.zeros((2, 2, 1, 1))
+    arr[0, 0] = 1.0
+    broken = ConcreteCorr(M2, ConcreteModule(C1, (1,)), ((arr,),))
+    report = validate(broken)
+    assert report.failures() == ["star-multiplicativity"]
+    with pytest.raises(ValidationError):
+        classify(broken)
+
+
+def test_validate_flags_nan_off_first_row_and_column():
+    x = realize(CorrClass(M2, C1, ((1,),)))
+    arr = np.array(x.action[0][0], copy=True)
+    arr[1, 1, 0, 0] = np.nan
+    broken = _with_images(x, 0, 0, arr)
+    report = validate(broken)
+    assert not report.ok
+    assert "star-multiplicativity" in report.failures()
     with pytest.raises(ValidationError):
         classify(broken)
 
