@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .checks import run_random_checks
-from .concrete import CLASSIFY_TOL, GRAM_NULL_TOL, InteriorTensor, classify, realize
+from .concrete import GRAM_NULL_TOL, InteriorTensor, classify, realize
 from .corr import (
     cokernel,
     compose,
@@ -55,10 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="path to a JSON file, inline JSON, or (for gallery) an entry name",
     )
     p.add_argument("--seed", type=int, default=0, help="seed for random-check")
-    p.add_argument("--max-blocks", type=int, default=3)
-    p.add_argument("--max-dim", type=int, default=3, help="largest block size")
-    p.add_argument("--max-entry", type=int, default=2)
-    p.add_argument("--tolerance", type=float, default=None)
+    p.add_argument("--max-blocks", type=int)
+    p.add_argument("--max-dim", type=int, help="largest block size")
+    p.add_argument("--max-entry", type=int)
+    p.add_argument("--tolerance", type=float, help="relative Gram null cutoff")
     p.add_argument(
         "--json-only", action="store_true", help="suppress the human-readable summary"
     )
@@ -84,7 +84,10 @@ def _load_input(raw: str | None):
         path = Path(raw)
         if not path.exists():
             return text  # bare token, e.g. a gallery name
-        text = path.read_text()
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise ValidationError(f"{raw} is not UTF-8 text") from None
     try:
         return json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
     except RecursionError:
@@ -113,9 +116,9 @@ def _need(obj, what: str):
     return obj
 
 
-def _tolerance(args, default: float) -> float:
+def _tolerance(args) -> float:
     if args.tolerance is None:
-        return default
+        return GRAM_NULL_TOL
     # Also false for NaN; at 1 or above the Gram cutoff drops every eigenvalue.
     if not 0.0 < args.tolerance < 1.0:
         raise ValidationError(f"--tolerance must lie in (0, 1), got {args.tolerance!r}")
@@ -229,7 +232,7 @@ def _run_check_exact(verb, obj, args):
 
 
 def _run_oracle_tensor(verb, obj, args):
-    null_tol = _tolerance(args, GRAM_NULL_TOL)
+    null_tol = _tolerance(args)
     x, y = _pair(obj)
     if not (x.all_finite and y.all_finite):
         raise ValidationError("oracle-tensor requires finite multiplicities")
@@ -284,12 +287,13 @@ def _run_random_check(verb, obj, args):
         if not isinstance(obj, dict):
             raise ValidationError("random-check input must be an object of suite counts")
         counts = obj
-    bounds = {
+    given = {
         "max_blocks": args.max_blocks,
         "max_size": args.max_dim,
         "max_entry": args.max_entry,
     }
-    report = run_random_checks(args.seed, counts, bounds, _tolerance(args, CLASSIFY_TOL))
+    bounds = {key: value for key, value in given.items() if value is not None}
+    report = run_random_checks(args.seed, counts, bounds, _tolerance(args))
     out = {"verb": "random-check", **report.to_json()}
     lines = [f"random-check seed={report.seed}: {'PASS' if report.ok else 'FAIL'}"]
     for suite in report.results:

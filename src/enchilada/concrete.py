@@ -42,6 +42,7 @@ __all__ = [
     "GRAM_NULL_TOL",
     "CLASSIFY_TOL",
     "VALIDATE_TOL",
+    "VANISH_TOL",
     "MAX_ACTION_ENTRIES",
 ]
 
@@ -50,7 +51,10 @@ __all__ = [
 GRAM_NULL_TOL = 1e-7
 # A projection trace must be within this distance of an integer.
 CLASSIFY_TOL = 1e-6
+# Largest axiom violation an action may show and still pass validation.
 VALIDATE_TOL = 1e-9
+# A tensor product whose Gram norm lies below this is the zero module.
+VANISH_TOL = 1e-9
 # Most complex entries, sum_i n_i^2 * sum_j d_j^2, that the unit-image arrays
 # of one action may hold together; larger correspondences are refused before
 # anything is allocated.
@@ -342,37 +346,38 @@ def _mult_violation_generic(x: ConcreteCorr) -> float:
     return worst
 
 
-def _report(x: ConcreteCorr, multiplicativity: float, tol: float) -> ValidationReport:
+def _report(x: ConcreteCorr, multiplicativity: float) -> ValidationReport:
     checks = (
         AxiomCheck("star-multiplicativity", multiplicativity),
         AxiomCheck("star-adjoint", _adjoint_violation(x)),
         AxiomCheck("nondegeneracy", _nondegeneracy_violation(x)),
     )
-    return ValidationReport(checks, tol)
+    return ValidationReport(checks, VALIDATE_TOL)
 
 
-def validate(x: ConcreteCorr, tol: float = VALIDATE_TOL) -> ValidationReport:
+def validate(x: ConcreteCorr) -> ValidationReport:
     """Measure every action axiom through relations that imply it.
 
     Multiplicativity: e_{pq} = e_{p1} e_{1q} and e_{1p} e_{q1} = delta_{pq} e_{11}
     in each block, and P_i P_k = 0 for the images of distinct block units, in
     2 sum_i n_i^2 + r^2 products per fiber.  Adjoints: e_{1p}^* = e_{p1}.
     Nondegeneracy: unit images summing to the identity on each nonzero fiber.
-    A zero module passes vacuously.
+    An action passes when no violation exceeds VALIDATE_TOL; a zero module
+    passes vacuously.
     """
-    return _report(x, _mult_violation_relations(x), tol)
+    return _report(x, _mult_violation_relations(x))
 
 
-def classify(x: ConcreteCorr, tol: float = CLASSIFY_TOL) -> CorrClass:
+def classify(x: ConcreteCorr) -> CorrClass:
     """Extract the multiplicity matrix of a validated concrete correspondence.
 
     The action is validated as in `validate`, except that multiplicativity is
     measured on two fixed generic pairs, which is faster on large fibers.
     k_{ij} is the rank of the image on fiber j of a minimal projection of
     source block i; since that image is a projection, the rank is its trace,
-    rounded within `tol`.
+    which must lie within CLASSIFY_TOL of an integer.
     """
-    report = _report(x, _mult_violation_generic(x), VALIDATE_TOL)
+    report = _report(x, _mult_violation_generic(x))
     if not report.ok:
         raise ValidationError(
             f"action fails validation: {report.failures()} "
@@ -384,7 +389,7 @@ def classify(x: ConcreteCorr, tol: float = CLASSIFY_TOL) -> CorrClass:
         for j in range(x.target.block_count):
             t = complex(np.trace(x.action[j][i][0, 0]))
             k = round(t.real)
-            if abs(t.imag) > tol or abs(t.real - k) > tol or k < 0:
+            if abs(t.imag) > CLASSIFY_TOL or abs(t.real - k) > CLASSIFY_TOL or k < 0:
                 raise ValidationError(
                     f"projection trace {t} on fiber {j} is not a multiplicity"
                 )
@@ -499,20 +504,19 @@ def interior_tensor(
 def interior_tensor_norm(x: ConcreteCorr, y: ConcreteCorr) -> float:
     """Largest eigenvalue of the scalarized Gram form of the tensor product.
 
-    Vanishes (below any sensible cutoff) exactly when the tensor product is
-    the zero module.
+    Lies below VANISH_TOL exactly when the tensor product is the zero module.
     """
     return InteriorTensor(x, y).gram_norm
 
 
-def is_isomorphic(x: ConcreteCorr, y: ConcreteCorr, tol: float = CLASSIFY_TOL) -> bool:
+def is_isomorphic(x: ConcreteCorr, y: ConcreteCorr) -> bool:
     """Isomorphism of concrete correspondences: equal multiplicity matrices."""
     if x.source != y.source or x.target != y.target:
         raise ValidationError("isomorphism comparison requires equal endpoints")
-    return classify(x, tol) == classify(y, tol)
+    return classify(x) == classify(y)
 
 
-def dual_concrete(x: ConcreteCorr, tol: float = CLASSIFY_TOL) -> ConcreteCorr:
+def dual_concrete(x: ConcreteCorr) -> ConcreteCorr:
     """The dual of a concrete Hilbert bimodule.
 
     The dual swaps the module structures (b x~ a = (a* x b*)~), which on
@@ -520,7 +524,7 @@ def dual_concrete(x: ConcreteCorr, tol: float = CLASSIFY_TOL) -> ConcreteCorr:
     of the transposed class, the dual up to isomorphism.  Tensoring with x
     on either side recovers the support ideals as diagonal classes.
     """
-    kind = classify(x, tol)
+    kind = classify(x)
     if not is_hilbert_bimodule(kind):
         raise ValidationError("dual requires a Hilbert bimodule (partial permutation class)")
     return realize(dual_class(kind))

@@ -88,9 +88,6 @@ class CorrClass:
     def all_finite(self) -> bool:
         return all(INF not in row for row in self.matrix)
 
-    def entry(self, i: int, j: int) -> int | float:
-        return self.matrix[i][j]
-
     def __repr__(self) -> str:
         body = "[" + ", ".join(
             "[" + ", ".join("INF" if v == INF else _entry_text(v) for v in row) + "]"

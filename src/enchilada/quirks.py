@@ -17,7 +17,7 @@ import numpy as np
 from .algebras import FdCStarAlgebra, make_ideal
 from .cardinal import INF
 from .checks import enumerate_algebras, enumerate_corrs, random_algebra, random_corr
-from .concrete import interior_tensor, interior_tensor_norm, is_isomorphic, realize
+from .concrete import VANISH_TOL, interior_tensor, interior_tensor_norm, is_isomorphic, realize
 from .corr import (
     CorrClass,
     compose,
@@ -44,19 +44,7 @@ __all__ = [
     "GalleryStep",
     "GalleryTranscript",
     "gallery",
-    "run_gallery",
 ]
-
-
-GALLERY_NAMES = (
-    "sur_not_epi",
-    "zero_tensor",
-    "noncancellative_sum",
-    "mono_necessity",
-    "kernel_is_split_mono",
-    "quotient_is_epi_probe",
-    "hb_image",
-)
 
 
 @dataclass(frozen=True)
@@ -153,7 +141,7 @@ def _gallery_zero_tensor() -> GalleryTranscript:
         GalleryStep("composite matrix is zero", compose(x, y).is_zero),
         GalleryStep(
             "numeric tensor product vanishes",
-            interior_tensor_norm(realize(x), realize(y)) < 1e-9,
+            interior_tensor_norm(realize(x), realize(y)) < VANISH_TOL,
         ),
     ]
     nz = CorrClass(a, b, ((1, 1),))
@@ -161,7 +149,7 @@ def _gallery_zero_tensor() -> GalleryTranscript:
         GalleryStep(
             "a supported pair does not vanish",
             not tensor_is_zero(nz, y)
-            and interior_tensor_norm(realize(nz), realize(y)) >= 1e-9,
+            and interior_tensor_norm(realize(nz), realize(y)) >= VANISH_TOL,
         )
     )
     agree = True
@@ -336,14 +324,11 @@ _GALLERY = {
     "hb_image": _gallery_hb_image,
 }
 
+GALLERY_NAMES = tuple(_GALLERY)
+
 
 def gallery(name: str) -> GalleryTranscript:
     """Build one scripted example, run its assertions, return the transcript."""
     if not isinstance(name, str) or name not in _GALLERY:
         raise ValidationError(f"unknown gallery entry {name!r}; known: {GALLERY_NAMES}")
     return _GALLERY[name]()
-
-
-def run_gallery(names=GALLERY_NAMES) -> tuple[GalleryTranscript, ...]:
-    """Run several gallery entries."""
-    return tuple(gallery(n) for n in names)

@@ -25,6 +25,7 @@ from enchilada import (
     suite_universal_properties,
     suite_zero_tensor,
 )
+from enchilada.concrete import CLASSIFY_TOL, VANISH_TOL
 
 
 def _report(num, name, ok, detail, started, limit):
@@ -36,10 +37,10 @@ def _report(num, name, ok, detail, started, limit):
 
 
 def test_criterion_1_oracle_equivalence():
+    assert CLASSIFY_TOL == 1e-6
     started = time.perf_counter()
     result = suite_tensor_oracle(
         np.random.default_rng(42), cases=200, max_blocks=3, max_size=3, max_entry=2,
-        tol=1e-6,
     )
     ok = _report(1, "oracle equivalence", result.ok, f"{result.cases} pairs", started, 60.0)
     assert ok, result.failures[:5]
@@ -80,7 +81,8 @@ def test_criterion_4_schubert_identities():
 
 def test_criterion_5_short_exact_theorem():
     started = time.perf_counter()
-    result = suite_short_exact_theorem(max_blocks=2, max_size=2, max_entry=1)
+    result = suite_short_exact_theorem()
+    assert result.cases == 22247  # blocks <= 2, block sizes <= 2, entries <= 1
     ok = _report(
         5, "short-exact theorem equivalence", result.ok,
         f"{result.cases} sequences, {len(result.failures)} disagreements",
@@ -122,10 +124,10 @@ def test_criterion_6_split_mono_characterization():
 
 
 def test_criterion_7_zero_tensor_equivalence():
+    assert VANISH_TOL == 1e-9
     started = time.perf_counter()
     result = suite_zero_tensor(
-        np.random.default_rng(4042), cases=100, max_blocks=3, max_size=3,
-        max_entry=2, norm_tol=1e-9,
+        np.random.default_rng(4042), cases=100, max_blocks=3, max_size=3, max_entry=2,
     )
     ok = _report(7, "zero-tensor equivalence", result.ok, f"{result.cases} pairs", started, 30.0)
     assert ok, result.failures[:5]

@@ -129,6 +129,16 @@ def test_check_exact_file_exit_0(tmp_path, capsys):
     ]
 
 
+def test_non_utf8_input_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
+    code = main(["kernel", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"] == f"{path} is not UTF-8 text"
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_check_exact_violation_named(capsys):
     code, report = run_json(
         capsys, "check-exact", "--input", json.dumps({"x": BAD_X, "y": Y_JSON})
@@ -287,6 +297,32 @@ def test_random_check_rejects_bad_tolerance(capsys):
         code, report = run_json(capsys, "random-check", f"--tolerance={tol}")
         assert code == 2, tol
         assert "--tolerance must lie in (0, 1)" in report["error"]
+
+
+def test_tolerance_is_the_gram_cutoff_for_both_verbs(capsys):
+    # The Gram blocks of this pair have top eigenvalues 1 and 2, so a relative
+    # cutoff of 0.99 (1.98 absolute) drops the first and loses a summand.
+    pair = {
+        "x": {"source": {"blocks": [1]}, "target": {"blocks": [1, 2]}, "matrix": [[1, 1]]},
+        "y": {"source": {"blocks": [1, 2]}, "target": {"blocks": [1]}, "matrix": [[1], [1]]},
+    }
+    code, report = run_json(
+        capsys, "oracle-tensor", "--input", json.dumps(pair), "--tolerance", "0.99"
+    )
+    assert code == 1
+    assert report["match"] is False
+    counts = json.dumps(
+        {"laws": 1, "universal": 1, "schubert": 1, "oracle": 1, "zero_tensor": 1}
+    )
+    code, report = run_json(capsys, "random-check", "--input", counts, "--seed", "1")
+    assert code == 0
+    code, report = run_json(
+        capsys, "random-check", "--input", counts, "--seed", "1", "--tolerance", "0.99"
+    )
+    assert code == 1
+    failing = {s["name"]: s["failures"] for s in report["suites"] if s["failures"]}
+    assert list(failing) == ["tensor oracle"]
+    assert all("oracle mismatch" in f for f in failing["tensor oracle"])
 
 
 def test_human_summary_plus_json(capsys):

@@ -73,3 +73,27 @@ def test_all_names_are_defined():
         bound = _bound_names(tree)
         stale.extend((path.stem, name) for names in exported for name in names if name not in bound)
     assert stale == []
+
+
+def test_small_float_literals_are_named():
+    # A threshold written inline cannot be reported or pinned; it must be the
+    # value of a module-level constant such as VANISH_TOL.
+    inline = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        named = {
+            id(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and all(isinstance(t, ast.Name) for t in node.targets)
+            and isinstance(node.value, ast.Constant)
+        }
+        inline.extend(
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and type(node.value) is float
+            and 0.0 < node.value < 1e-3
+            and id(node) not in named
+        )
+    assert inline == []
