@@ -13,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .algebras import FdCStarAlgebra
+from .algebras import ZERO_ALGEBRA, FdCStarAlgebra
 from .cardinal import INF
 from .concrete import (
     GRAM_NULL_TOL,
@@ -27,13 +27,16 @@ from .corr import (
     CorrClass,
     cokernel,
     compose,
+    factor_through_quotient,
     identity_corr,
     kernel,
     left_kernel,
+    restrict_right,
     right_support,
     schubert_coimage,
     schubert_image,
     tensor_is_zero,
+    zero_corr,
 )
 from .errors import ValidationError
 from .exactness import check_short_exact, exact_at
@@ -157,9 +160,30 @@ def suite_compose_laws(
     return SuiteResult("compose laws", cases, tuple(fails))
 
 
-def _bump(entry: int | float) -> int | float:
-    # A guaranteed-different entry, for uniqueness probes.
-    return 0 if entry == INF else entry + 1
+def _draw_class(rng, source, target, cells, max_entry, inf_prob) -> CorrClass:
+    """A random class that is zero outside `cells`; each cell in turn gets a
+    finite entry (probability 1/2), INF (`inf_prob`) or zero."""
+    rows = [[0] * target.block_count for _ in range(source.block_count)]
+    for i, j in cells:
+        u = rng.random()
+        if u < 0.5:
+            rows[i][j] = int(rng.integers(0, max_entry + 1))
+        elif u < 0.5 + inf_prob:
+            rows[i][j] = INF
+    return CorrClass(source, target, tuple(map(tuple, rows)))
+
+
+def _bumped(rng, m: CorrClass) -> CorrClass | None:
+    """M with one random entry changed, for uniqueness probes; None when M
+    has no entries."""
+    r, s = m.shape
+    if not (r and s):
+        return None
+    i0 = int(rng.integers(0, r))
+    j0 = int(rng.integers(0, s))
+    rows = [list(row) for row in m.matrix]
+    rows[i0][j0] = 0 if rows[i0][j0] == INF else rows[i0][j0] + 1
+    return CorrClass(m.source, m.target, tuple(map(tuple, rows)))
 
 
 def suite_universal_properties(
@@ -172,8 +196,8 @@ def suite_universal_properties(
 ) -> SuiteResult:
     """Kernel and cokernel factorizations: existence, formula, and uniqueness.
 
-    For W with W * X = 0 the unique mediator is W restricted to the kernel
-    columns; dually for X * W = 0 it is W restricted to the non-support rows.
+    For W with W * X = 0 the unique mediator is restrict_right(W, ker phi_X);
+    dually for X * W = 0 it is factor_through_quotient(W, B_X).
     """
     fails = []
     for n in range(cases):
@@ -183,64 +207,33 @@ def suite_universal_properties(
         x = random_corr(rng, a, b, max_entry, inf_prob)
 
         ker = kernel(x)
-        members = left_kernel(x).sorted_members
-        w_rows = []
-        for _ in range(d.block_count):
-            row = [0] * a.block_count
-            for i in members:
-                u = rng.random()
-                if u < 0.5:
-                    row[i] = int(rng.integers(0, max_entry + 1))
-                elif u < 0.5 + inf_prob:
-                    row[i] = INF
-            w_rows.append(tuple(row))
-        w = CorrClass(d, a, tuple(w_rows))
+        ker_ideal = left_kernel(x)
+        cells = [(i, j) for i in range(d.block_count) for j in ker_ideal.sorted_members]
+        w = _draw_class(rng, d, a, cells, max_entry, inf_prob)
         if not compose(w, x).is_zero:
             fails.append(f"case {n}: generated W does not annihilate X")
             continue
-        mediator = CorrClass(d, ker.source, tuple(tuple(row[i] for i in members) for row in w.matrix))
+        mediator = restrict_right(w, ker_ideal)
         if compose(mediator, ker) != w:
             fails.append(f"case {n}: kernel factorization failed for {x!r}")
-        if mediator.shape[0] and mediator.shape[1]:
-            i0 = int(rng.integers(0, mediator.shape[0]))
-            j0 = int(rng.integers(0, mediator.shape[1]))
-            bumped = [list(row) for row in mediator.matrix]
-            bumped[i0][j0] = _bump(bumped[i0][j0])
-            other = CorrClass(d, ker.source, tuple(tuple(r) for r in bumped))
-            if compose(other, ker) == w:
-                fails.append(f"case {n}: kernel mediator not unique for {x!r}")
+        other = _bumped(rng, mediator)
+        if other is not None and compose(other, ker) == w:
+            fails.append(f"case {n}: kernel mediator not unique for {x!r}")
 
         cok = cokernel(x)
-        support = right_support(x).sorted_members
-        rest = [j for j in range(b.block_count) if j not in support]
-        w2_rows = []
-        for j in range(b.block_count):
-            row = [0] * d.block_count
-            if j in rest:
-                for t in range(d.block_count):
-                    u = rng.random()
-                    if u < 0.5:
-                        row[t] = int(rng.integers(0, max_entry + 1))
-                    elif u < 0.5 + inf_prob:
-                        row[t] = INF
-            w2_rows.append(tuple(row))
-        w2 = CorrClass(b, d, tuple(w2_rows))
+        support = right_support(x)
+        rest = [j for j in range(b.block_count) if j not in support.members]
+        cells = [(j, t) for j in rest for t in range(d.block_count)]
+        w2 = _draw_class(rng, b, d, cells, max_entry, inf_prob)
         if not compose(x, w2).is_zero:
             fails.append(f"case {n}: generated W' is not annihilated by X")
             continue
-        mediator2 = CorrClass(
-            cok.target, d, tuple(w2.matrix[j] for j in rest)
-        )
+        mediator2 = factor_through_quotient(w2, support)
         if compose(cok, mediator2) != w2:
             fails.append(f"case {n}: cokernel factorization failed for {x!r}")
-        if mediator2.shape[0] and mediator2.shape[1]:
-            i0 = int(rng.integers(0, mediator2.shape[0]))
-            j0 = int(rng.integers(0, mediator2.shape[1]))
-            bumped = [list(row) for row in mediator2.matrix]
-            bumped[i0][j0] = _bump(bumped[i0][j0])
-            other = CorrClass(cok.target, d, tuple(tuple(r) for r in bumped))
-            if compose(cok, other) == w2:
-                fails.append(f"case {n}: cokernel mediator not unique for {x!r}")
+        other = _bumped(rng, mediator2)
+        if other is not None and compose(cok, other) == w2:
+            fails.append(f"case {n}: cokernel mediator not unique for {x!r}")
     return SuiteResult("universal properties", cases, tuple(fails))
 
 
@@ -338,18 +331,28 @@ def suite_zero_tensor(
 
 
 def suite_short_exact_theorem() -> SuiteResult:
-    """Exhaustive agreement between the three-condition verdict and the
-    node-by-node definition verdict for short sequences, over every algebra
-    with at most two blocks of size at most two and entries at most one."""
+    """Exhaustive check of check_short_exact against the definition of
+    exactness for 0 -> A -> B -> C -> 0: subobject equality of the Schubert
+    image and kernel inclusions at each of the three nodes.  Covers every
+    algebra with at most two blocks of size at most two and entries at most
+    one."""
     fails = []
     cases = 0
     algebras = enumerate_algebras(max_blocks=2, max_size=2)
+    classes = {
+        (a, b): tuple(enumerate_corrs(a, b, max_entry=1))
+        for a, b in itertools.product(algebras, repeat=2)
+    }
     for a, b, c in itertools.product(algebras, repeat=3):
-        for x in enumerate_corrs(a, b, max_entry=1):
-            for y in enumerate_corrs(b, c, max_entry=1):
+        lead = zero_corr(ZERO_ALGEBRA, a)
+        tail = zero_corr(c, ZERO_ALGEBRA)
+        for x in classes[a, b]:
+            for y in classes[b, c]:
                 cases += 1
-                report = check_short_exact(x, y)
-                if report.conditions_hold != report.nodes_exact:
+                definition = all(
+                    schubert_image(f) == kernel(g) for f, g in ((lead, x), (x, y), (y, tail))
+                )
+                if check_short_exact(x, y).exact != definition:
                     fails.append(f"disagreement for {x!r} and {y!r}")
     return SuiteResult("short exact theorem", cases, tuple(fails))
 

@@ -76,14 +76,16 @@ def _finite_float(token: str) -> float:
     return value
 
 
-def _load_input(raw: str | None):
+def _load_input(raw: str | None, verb: str):
     if raw is None:
         return None
     text = raw.strip()
     if not (text.startswith("{") or text.startswith("[")):
         path = Path(raw)
         if not path.exists():
-            return text  # bare token, e.g. a gallery name
+            if verb == "gallery":
+                return text  # an entry name
+            raise ValidationError(f"no such file: {raw}")
         try:
             text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError:
@@ -200,23 +202,13 @@ def _run_predicates(verb, obj, args):
 def _run_check_exact(verb, obj, args):
     obj = _need(obj, verb)
     if isinstance(obj, dict) and "x" in obj and "y" in obj:
-        x, y = _pair(obj)
-        report = check_short_exact(x, y)
-        short = True
+        report = check_short_exact(*_pair(obj))
     else:
-        seq = sequence_from_json(obj)
-        algebras = seq.algebras
-        short = (
-            len(algebras) == 5 and algebras[0].is_zero and algebras[-1].is_zero
-        )
-        if short:
-            report = check_short_exact(seq.correspondences[1], seq.correspondences[2])
-        else:
-            report = check_sequence(seq)
+        report = check_sequence(sequence_from_json(obj))
     verdict = report.exact
     out = {
         "verb": "check-exact",
-        "short": short,
+        "short": bool(report.conditions),
         "exact": verdict,
         "report": report.to_json(),
     }
@@ -321,7 +313,7 @@ VERBS = tuple(_HANDLERS)
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        obj = _load_input(args.input)
+        obj = _load_input(args.input, args.verb)
         code, report, lines = _HANDLERS[args.verb](args.verb, obj, args)
         text = _dumps(report)
     except (ValidationError, json.JSONDecodeError, OSError) as exc:

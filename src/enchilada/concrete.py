@@ -38,7 +38,6 @@ __all__ = [
     "dual_concrete",
     "rank_one",
     "compacts_span_defect",
-    "algebra_unit",
     "GRAM_NULL_TOL",
     "CLASSIFY_TOL",
     "VALIDATE_TOL",
@@ -70,11 +69,6 @@ def _max_abs(arr: np.ndarray) -> float:
         return 0.0
     worst = float(np.abs(arr).max())
     return math.inf if math.isnan(worst) else worst
-
-
-def algebra_unit(a: FdCStarAlgebra) -> AlgebraElement:
-    """The unit of the algebra as a tuple of identity blocks."""
-    return tuple(np.eye(n, dtype=complex) for n in a.blocks)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,17 @@
 A chain ... -> A -> B -> C -> ... is exact at an interior node when the
 Schubert image of the incoming arrow equals the kernel of the outgoing
 arrow.  Both are ideal inclusions, so subobject equality reduces to equality
-of those inclusions, i.e. of the ideals' block sets.  A short sequence
-0 -> A -> B -> C -> 0 is exact iff the left action of A is faithful, the
-right support of X matches the kernel of the action on Y, and Y is full;
-check_short_exact reports those three conditions next to the node-by-node
-verdicts so the equivalence can be audited.
+of those inclusions, i.e. of the ideals' block sets; exact_at is the one
+place that comparison is made, and check_sequence the one loop over nodes.
+
+A short sequence 0 -> A -> B -> C -> 0 is exact iff the left action of A is
+faithful, the right support of X matches the kernel of the action on Y, and
+Y is full.  Each condition is the verdict at one node: node 1 compares the
+empty image of 0 -> A with ker phi_X, node 2 compares B_X with ker phi_Y, and
+node 3 compares B_Y with all of C, the kernel of C -> 0.  So check_sequence
+names the three conditions on any zero-ended five-term chain by reading them
+off its node verdicts, and check_short_exact is check_sequence on the chain
+padded with zero morphisms.
 """
 
 from __future__ import annotations
@@ -15,14 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import FdCStarAlgebra, ZERO_ALGEBRA
-from .corr import (
-    CorrClass,
-    is_full,
-    left_kernel,
-    phi_injective,
-    right_support,
-    zero_corr,
-)
+from .corr import CorrClass, left_kernel, right_support, zero_corr
 from .errors import ValidationError
 
 __all__ = [
@@ -48,9 +47,6 @@ class NodeVerdict:
     def exact(self) -> bool:
         return self.image_members == self.kernel_members
 
-    def __bool__(self) -> bool:
-        return self.exact
-
     def to_json(self) -> dict:
         return {
             "algebra": {"blocks": list(self.algebra.blocks)},
@@ -64,13 +60,9 @@ class NodeVerdict:
 class Condition:
     name: str
     holds: bool
-    detail: str = ""
 
     def to_json(self) -> dict:
-        out = {"name": self.name, "holds": self.holds}
-        if self.detail:
-            out["detail"] = self.detail
-        return out
+        return {"name": self.name, "holds": self.holds}
 
 
 @dataclass(frozen=True)
@@ -130,6 +122,11 @@ class SequenceSpec:
         object.__setattr__(self, "correspondences", corrs)
 
 
+# The conditions of the short exact theorem, in node order: each holds
+# exactly when its node of 0 -> A -> B -> C -> 0 is exact.
+_SHORT_EXACT_CONDITIONS = ("phi_X injective", "B_X = ker phi_Y", "Y full")
+
+
 def exact_at(x: CorrClass, y: CorrClass) -> NodeVerdict:
     """Exactness at the middle node of A -> B -> C.
 
@@ -145,37 +142,34 @@ def exact_at(x: CorrClass, y: CorrClass) -> NodeVerdict:
 def check_short_exact(x: CorrClass, y: CorrClass) -> ExactnessReport:
     """Verdict for 0 -> A -> B -> C -> 0 built from X : A -> B and Y : B -> C.
 
-    Reports the three characterizing conditions (faithful left action on X,
-    B_X = ker phi_Y, Y full) together with the definition-level verdicts at
-    the three inner nodes, computed against zero morphisms at the ends.
+    This is check_sequence on the chain padded with zero morphisms, so the
+    report carries the three node verdicts and the three characterizing
+    conditions (faithful left action on X, B_X = ker phi_Y, Y full).
     """
     if x.target != y.source:
         raise ValidationError("short sequence needs composable correspondences")
-    conditions = (
-        Condition("phi_X injective", phi_injective(x)),
-        Condition(
-            "B_X = ker phi_Y",
-            right_support(x).members == left_kernel(y).members,
-        ),
-        Condition("Y full", is_full(y)),
+    return check_sequence(
+        SequenceSpec(
+            (ZERO_ALGEBRA, x.source, x.target, y.target, ZERO_ALGEBRA),
+            (zero_corr(ZERO_ALGEBRA, x.source), x, y, zero_corr(y.target, ZERO_ALGEBRA)),
+        )
     )
-    lead = zero_corr(ZERO_ALGEBRA, x.source)
-    tail = zero_corr(y.target, ZERO_ALGEBRA)
-    nodes = (
-        (1, exact_at(lead, x)),
-        (2, exact_at(x, y)),
-        (3, exact_at(y, tail)),
-    )
-    return ExactnessReport(nodes, conditions)
 
 
 def check_sequence(seq: SequenceSpec) -> ExactnessReport:
     """Exactness of a chain at every interior node.
 
-    A single morphism has no interior nodes and is vacuously exact.
+    A single morphism has no interior nodes and is vacuously exact.  On a
+    short sequence 0 -> A -> B -> C -> 0 (five algebras, zero at both ends)
+    the report also names the three conditions of the short exact theorem,
+    each read off its node's verdict.
     """
-    nodes = tuple(
-        (k + 1, exact_at(seq.correspondences[k], seq.correspondences[k + 1]))
-        for k in range(len(seq.correspondences) - 1)
-    )
-    return ExactnessReport(nodes)
+    corrs = seq.correspondences
+    nodes = tuple((k + 1, exact_at(corrs[k], corrs[k + 1])) for k in range(len(corrs) - 1))
+    algebras = seq.algebras
+    conditions = ()
+    if len(algebras) == 5 and algebras[0].is_zero and algebras[-1].is_zero:
+        conditions = tuple(
+            Condition(name, node.exact) for name, (_, node) in zip(_SHORT_EXACT_CONDITIONS, nodes)
+        )
+    return ExactnessReport(nodes, conditions)

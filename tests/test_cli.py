@@ -139,6 +139,25 @@ def test_non_utf8_input_file_exits_2(tmp_path, capsys):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+def test_missing_input_file_names_the_path(tmp_path, capsys):
+    path = tmp_path / "nofile.json"
+    for verb in ("compose", "check-exact", "kernel", "random-check"):
+        code = main([verb, "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2, verb
+        assert json.loads(captured.out)["error"] == f"no such file: {path}"
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_check_exact_pair_and_padded_sequence_agree(capsys):
+    for x in (X_JSON, BAD_X):
+        seq = json.loads(json.dumps(EXACT_SEQ))
+        seq["correspondences"][1] = x
+        pair = run(capsys, "check-exact", "--input", json.dumps({"x": x, "y": Y_JSON}))
+        assert pair == run(capsys, "check-exact", "--input", json.dumps(seq))
+        assert '"short": true' in pair[1] and '"conditions"' in pair[1]
+
+
 def test_check_exact_violation_named(capsys):
     code, report = run_json(
         capsys, "check-exact", "--input", json.dumps({"x": BAD_X, "y": Y_JSON})
@@ -292,7 +311,7 @@ def test_random_check_rejects_bad_seed(capsys):
 
 
 def test_random_check_rejects_bad_tolerance(capsys):
-    # With NaN every `abs(...) > tol` comparison is false: every suite would pass.
+    # As a relative Gram cutoff, NaN or anything at or above 1 drops every eigenvalue.
     for tol in ("nan", "inf", "0", "1"):
         code, report = run_json(capsys, "random-check", f"--tolerance={tol}")
         assert code == 2, tol

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,12 +18,16 @@ from enchilada import (
     gallery,
     identity_corr,
     kernel,
+    left_kernel,
     make_algebra,
     random_algebra,
     random_corr,
+    right_support,
     schubert_image,
+    suite_short_exact_theorem,
     zero_corr,
 )
+from enchilada import exactness
 
 import numpy as np
 
@@ -125,6 +130,37 @@ def test_check_sequence():
 
     single = SequenceSpec((C1, C2), (x,))
     assert check_sequence(single).exact  # vacuous
+
+
+def test_check_sequence_names_conditions_on_padded_chains():
+    # check_short_exact is check_sequence on the zero-padded chain, and
+    # check_sequence names the conditions whenever the chain has that shape.
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        a, b, c = (random_algebra(rng, 2, 2) for _ in range(3))
+        x = random_corr(rng, a, b, inf_prob=0.2)
+        y = random_corr(rng, b, c, inf_prob=0.2)
+        padded = SequenceSpec(
+            (ZERO_ALGEBRA, a, b, c, ZERO_ALGEBRA),
+            (zero_corr(ZERO_ALGEBRA, a), x, y, zero_corr(c, ZERO_ALGEBRA)),
+        )
+        report = check_sequence(padded)
+        assert report.to_json() == check_short_exact(x, y).to_json()
+        assert [cond.holds for cond in report.conditions] == [v.exact for _, v in report.nodes]
+    unpadded = SequenceSpec((C1, C2, C1), (CorrClass(C1, C2, ((1, 0),)), zero_corr(C2, C1)))
+    assert check_sequence(unpadded).conditions == ()
+
+
+def test_short_exact_suite_catches_a_wrong_node_rule(monkeypatch):
+    # With image <= kernel in place of equality the suite must disagree with
+    # the subobject definition it checks against.
+    def zero_composite_rule(x, y):
+        return SimpleNamespace(exact=right_support(x).members <= left_kernel(y).members)
+
+    monkeypatch.setattr(exactness, "exact_at", zero_composite_rule)
+    result = suite_short_exact_theorem()
+    assert result.cases == 22247
+    assert not result.ok
 
 
 def test_sequence_spec_validation():
