@@ -24,6 +24,8 @@ INF = math.inf
 def card(value) -> int | float:
     """Check one matrix entry: a non-negative int, or INF for "inf" or a
     float infinity."""
+    if type(value) is int and value >= 0:
+        return value
     if isinstance(value, str):
         if value == "inf":
             return INF

@@ -116,7 +116,7 @@ def enumerate_corrs(
     cells = source.block_count * s
     for combo in itertools.product(range(max_entry + 1), repeat=cells):
         rows = tuple(combo[i * s : (i + 1) * s] for i in range(source.block_count))
-        yield CorrClass(source, target, rows)
+        yield CorrClass._trusted(source, target, rows)
 
 
 @dataclass(frozen=True)
@@ -366,6 +366,9 @@ DEFAULT_COUNTS = {
 }
 
 DEFAULT_BOUNDS = {"max_blocks": 3, "max_size": 3, "max_entry": 2}
+# The largest bound accepted: numpy draws nothing beyond int64, and the
+# classes the suites draw grow with each bound.
+MAX_BOUND = 64
 
 
 @dataclass(frozen=True)
@@ -407,6 +410,8 @@ def run_random_checks(
     for key, value in {**cfg, **bnd}.items():
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ValidationError(f"{key} must be a positive integer, got {value!r}")
+        if key in bnd and value > MAX_BOUND:
+            raise ValidationError(f"{key} must be at most {MAX_BOUND}")
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     children = np.random.SeedSequence(seed).spawn(5)

@@ -138,7 +138,7 @@ def _run_compose(verb, obj, args):
     x, y = _pair(obj)
     result = compose(x, y)
     report = {"verb": "compose", "result": corr_to_json(result)}
-    return 0, report, [f"compose: {result!r}"]
+    return 0, report, lambda: [f"compose: {result!r}"]
 
 
 _IDEAL_VERBS = {
@@ -153,14 +153,9 @@ def _run_ideal_verb(verb, obj, args):
     x = corr_from_json(_need(obj, verb))
     build, witness, label = _IDEAL_VERBS[verb]
     result = build(x)
-    ideal = witness(x)
-    report = {
-        "verb": verb,
-        "result": corr_to_json(result),
-        "ideal": ideal_to_json(ideal),
-        "witness": label,
-    }
-    return 0, report, [f"{verb}: {result!r}", f"  {label} blocks: {ideal_to_json(ideal)['members']}"]
+    ideal = ideal_to_json(witness(x))
+    report = {"verb": verb, "result": corr_to_json(result), "ideal": ideal, "witness": label}
+    return 0, report, lambda: [f"{verb}: {result!r}", f"  {label} blocks: {ideal['members']}"]
 
 
 def _run_predicates(verb, obj, args):
@@ -193,9 +188,12 @@ def _run_predicates(verb, obj, args):
         "predicates": preds,
         "rank_tests": rank_tests,
     }
-    lines = [f"predicates for {x!r}:"]
-    lines.extend(f"  {k}: {v}" for k, v in preds.items())
-    lines.extend(f"  {k}: {v['value']} (caveat applies)" for k, v in rank_tests.items())
+
+    def lines():
+        yield f"predicates for {x!r}:"
+        yield from (f"  {k}: {v}" for k, v in preds.items())
+        yield from (f"  {k}: {v['value']} (caveat applies)" for k, v in rank_tests.items())
+
     return 0, report, lines
 
 
@@ -212,14 +210,18 @@ def _run_check_exact(verb, obj, args):
         "exact": verdict,
         "report": report.to_json(),
     }
-    lines = [f"sequence is {'exact' if verdict else 'NOT exact'}"]
-    for cond in report.conditions:
-        lines.append(f"  condition {cond.name!r}: {'holds' if cond.holds else 'VIOLATED'}")
-    for k, node in report.nodes:
-        lines.append(f"  node {k}: {'exact' if node.exact else 'NOT exact'}")
     if not verdict:
         out["violated"] = report.failing()
-        lines.append(f"  violated: {report.failing()}")
+
+    def lines():
+        yield f"sequence is {'exact' if verdict else 'NOT exact'}"
+        for cond in report.conditions:
+            yield f"  condition {cond.name!r}: {'holds' if cond.holds else 'VIOLATED'}"
+        for k, node in report.nodes:
+            yield f"  node {k}: {'exact' if node.exact else 'NOT exact'}"
+        if not verdict:
+            yield f"  violated: {out['violated']}"
+
     return (0 if verdict else 1), out, lines
 
 
@@ -240,12 +242,11 @@ def _run_oracle_tensor(verb, obj, args):
         "gram_norm": tensor.gram_norm,
         "fiber_dims": list(tensor.corr.module.fiber_dims),
     }
-    lines = [
+    return (0 if match else 1), report, lambda: [
         f"symbolic composite: {symbolic!r}",
         f"numeric classification: {numeric!r}",
         f"match: {match}",
     ]
-    return (0 if match else 1), report, lines
 
 
 def _run_gallery(verb, obj, args):
@@ -264,12 +265,13 @@ def _run_gallery(verb, obj, args):
         "passed": ok,
         "entries": [t.to_json() for t in transcripts],
     }
-    lines = []
-    for t in transcripts:
-        lines.append(f"{t.name}: {'PASS' if t.passed else 'FAIL'} ({t.title})")
-        for step in t.steps:
-            mark = "ok" if step.passed else "FAILED"
-            lines.append(f"  [{mark}] {step.label}")
+
+    def lines():
+        for t in transcripts:
+            yield f"{t.name}: {'PASS' if t.passed else 'FAIL'} ({t.title})"
+            for step in t.steps:
+                yield f"  [{'ok' if step.passed else 'FAILED'}] {step.label}"
+
     return (0 if ok else 1), report, lines
 
 
@@ -287,16 +289,21 @@ def _run_random_check(verb, obj, args):
     bounds = {key: value for key, value in given.items() if value is not None}
     report = run_random_checks(args.seed, counts, bounds, _tolerance(args))
     out = {"verb": "random-check", **report.to_json()}
-    lines = [f"random-check seed={report.seed}: {'PASS' if report.ok else 'FAIL'}"]
-    for suite in report.results:
-        lines.append(
-            f"  {suite.name}: {suite.cases} cases, "
-            f"{'ok' if suite.ok else f'{len(suite.failures)} failures'}"
-        )
+
+    def lines():
+        yield f"random-check seed={report.seed}: {'PASS' if report.ok else 'FAIL'}"
+        for suite in report.results:
+            yield (
+                f"  {suite.name}: {suite.cases} cases, "
+                f"{'ok' if suite.ok else f'{len(suite.failures)} failures'}"
+            )
+
     return (0 if report.ok else 1), out, lines
 
 
-# Each handler takes (verb, obj, args) and returns (exit code, report, lines).
+# Each handler takes (verb, obj, args) and returns (exit code, report, lines),
+# where lines is a zero-argument callable that gives the summary lines; main
+# calls it only when the summary is printed.
 _HANDLERS = {
     "compose": _run_compose,
     **dict.fromkeys(_IDEAL_VERBS, _run_ideal_verb),
@@ -308,10 +315,11 @@ _HANDLERS = {
 }
 
 VERBS = tuple(_HANDLERS)
+_PARSER = build_parser()  # parse_args leaves it unchanged, so one serves every call
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         obj = _load_input(args.input, args.verb)
         code, report, lines = _HANDLERS[args.verb](args.verb, obj, args)
@@ -323,7 +331,7 @@ def main(argv=None) -> int:
         print(json.dumps(report, indent=2))
         return 2
     if not args.json_only:
-        for line in lines:
+        for line in lines():
             print(line)
     print(text)
     return code

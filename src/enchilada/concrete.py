@@ -389,7 +389,7 @@ def classify(x: ConcreteCorr) -> CorrClass:
                 )
             row.append(int(k))
         rows.append(tuple(row))
-    return CorrClass(x.source, x.target, tuple(rows))
+    return CorrClass._trusted(x.source, x.target, tuple(rows))
 
 
 class InteriorTensor:

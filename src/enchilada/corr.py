@@ -18,7 +18,6 @@ and quotient maps read off from those supports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebras import FdCStarAlgebra, IdealRef, make_ideal, quotient
 from .cardinal import INF, card
@@ -75,6 +74,14 @@ class CorrClass:
                 )
         object.__setattr__(self, "matrix", rows)
 
+    @classmethod
+    def _trusted(cls, source, target, rows) -> CorrClass:
+        """A class from rows that are already an r x s tuple of tuples of
+        entries that `card` accepts; skips the check in __post_init__."""
+        x = object.__new__(cls)
+        x.__dict__.update(source=source, target=target, matrix=rows)  # frozen only blocks setattr
+        return x
+
     @property
     def shape(self) -> tuple[int, int]:
         return (self.source.block_count, self.target.block_count)
@@ -108,13 +115,13 @@ def identity_corr(a: FdCStarAlgebra) -> CorrClass:
     """The identity morphism: the algebra acting on itself, identity matrix."""
     r = a.block_count
     rows = tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
-    return CorrClass(a, a, rows)
+    return CorrClass._trusted(a, a, rows)
 
 
 def zero_corr(a: FdCStarAlgebra, b: FdCStarAlgebra) -> CorrClass:
     """The zero morphism A -> B."""
     rows = tuple(tuple(0 for _ in range(b.block_count)) for _ in range(a.block_count))
-    return CorrClass(a, b, rows)
+    return CorrClass._trusted(a, b, rows)
 
 
 def _total(terms) -> int | float:
@@ -144,7 +151,7 @@ def compose(x: CorrClass, y: CorrClass) -> CorrClass:
         tuple(_total(a * b for a, b in zip(row, col) if a and b) for col in cols)
         for row in x.matrix
     )
-    return CorrClass(x.source, y.target, rows)
+    return CorrClass._trusted(x.source, y.target, rows)
 
 
 def direct_sum(x: CorrClass, y: CorrClass) -> CorrClass:
@@ -157,7 +164,7 @@ def direct_sum(x: CorrClass, y: CorrClass) -> CorrClass:
     rows = tuple(
         tuple(map(_total, zip(xr, yr))) for xr, yr in zip(x.matrix, y.matrix)
     )
-    return CorrClass(x.source, x.target, rows)
+    return CorrClass._trusted(x.source, x.target, rows)
 
 
 def right_support(x: CorrClass) -> IdealRef:
@@ -201,7 +208,7 @@ def ideal_inclusion_corr(ideal: IdealRef) -> CorrClass:
     members = ideal.sorted_members
     s = ideal.parent.block_count
     rows = tuple(tuple(1 if j == m else 0 for j in range(s)) for m in members)
-    return CorrClass(ideal.algebra, ideal.parent, rows)
+    return CorrClass._trusted(ideal.algebra, ideal.parent, rows)
 
 
 def quotient_corr(b: FdCStarAlgebra, ideal: IdealRef) -> CorrClass:
@@ -214,7 +221,7 @@ def quotient_corr(b: FdCStarAlgebra, ideal: IdealRef) -> CorrClass:
         tuple(1 if j in col_of and col_of[j] == c else 0 for c in range(len(survivors)))
         for j in range(b.block_count)
     )
-    return CorrClass(b, quotient(b, ideal), rows)
+    return CorrClass._trusted(b, quotient(b, ideal), rows)
 
 
 def kernel(x: CorrClass) -> CorrClass:
@@ -317,7 +324,7 @@ def left_inverse(x: CorrClass) -> CorrClass | None:
         return None
     r, s = x.shape
     rows = tuple(tuple(1 if picks[i] == j else 0 for i in range(r)) for j in range(s))
-    return CorrClass(x.target, x.source, rows)
+    return CorrClass._trusted(x.target, x.source, rows)
 
 
 def right_inverse(x: CorrClass) -> CorrClass | None:
@@ -332,7 +339,7 @@ def right_inverse(x: CorrClass) -> CorrClass | None:
         return None
     r, s = x.shape
     rows = tuple(tuple(1 if picks[j] == i else 0 for i in range(r)) for j in range(s))
-    return CorrClass(x.target, x.source, rows)
+    return CorrClass._trusted(x.target, x.source, rows)
 
 
 def is_split_mono(x: CorrClass) -> bool:
@@ -376,7 +383,7 @@ def dual(x: CorrClass) -> CorrClass:
         raise ValidationError("dual is only defined for Hilbert bimodule classes")
     r, s = x.shape
     rows = tuple(tuple(x.matrix[i][j] for i in range(r)) for j in range(s))
-    return CorrClass(x.target, x.source, rows)
+    return CorrClass._trusted(x.target, x.source, rows)
 
 
 def restrict_right(x: CorrClass, sub: IdealRef) -> CorrClass:
@@ -391,7 +398,7 @@ def restrict_right(x: CorrClass, sub: IdealRef) -> CorrClass:
         raise ValidationError("right support is not contained in the restriction ideal")
     cols = sub.sorted_members
     rows = tuple(tuple(row[j] for j in cols) for row in x.matrix)
-    return CorrClass(x.source, sub.algebra, rows)
+    return CorrClass._trusted(x.source, sub.algebra, rows)
 
 
 def factor_through_quotient(x: CorrClass, ideal: IdealRef) -> CorrClass:
@@ -405,7 +412,7 @@ def factor_through_quotient(x: CorrClass, ideal: IdealRef) -> CorrClass:
     if not ideal.members <= left_kernel(x).members:
         raise ValidationError("ideal is not contained in the left kernel")
     rows = tuple(row for i, row in enumerate(x.matrix) if i not in ideal.members)
-    return CorrClass(quotient(x.source, ideal), x.target, rows)
+    return CorrClass._trusted(quotient(x.source, ideal), x.target, rows)
 
 
 def _int_rows(x: CorrClass, what: str) -> tuple[tuple[int, ...], ...]:
@@ -415,27 +422,26 @@ def _int_rows(x: CorrClass, what: str) -> tuple[tuple[int, ...], ...]:
 
 
 def _rational_rank(rows: tuple[tuple[int, ...], ...]) -> int:
-    """Exact rank over Q by fraction-arithmetic Gaussian elimination."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    if not m:
-        return 0
-    cols = len(m[0])
-    rank = 0
-    pivot_row = 0
-    for col in range(cols):
-        pivot = next((rr for rr in range(pivot_row, len(m)) if m[rr][col]), None)
+    """Exact rank over Q by fraction-free (Bareiss) elimination over ints.
+
+    After k pivots each entry below the pivot rows is a (k+1)-minor of the
+    input, so every division by the previous pivot is exact (Sylvester's
+    identity; see DECISIONS.md).
+    """
+    m = [list(row) for row in rows]
+    rank, prev = 0, 1
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((rr for rr in range(rank, len(m)) if m[rr][col]), None)
         if pivot is None:
             continue
-        m[pivot_row], m[pivot] = m[pivot], m[pivot_row]
-        lead = m[pivot_row][col]
-        m[pivot_row] = [v / lead for v in m[pivot_row]]
-        for rr in range(len(m)):
-            if rr != pivot_row and m[rr][col]:
-                f = m[rr][col]
-                m[rr] = [a - f * b for a, b in zip(m[rr], m[pivot_row])]
-        pivot_row += 1
+        m[rank], m[pivot] = m[pivot], m[rank]
+        lead, top = m[rank][col], m[rank]
+        for rr in range(rank + 1, len(m)):
+            f = m[rr][col]
+            m[rr] = [(lead * a - f * b) // prev for a, b in zip(m[rr], top)]
+        prev = lead
         rank += 1
-        if pivot_row == len(m):
+        if rank == len(m):
             break
     return rank
 

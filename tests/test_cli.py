@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import enchilada
 from enchilada import ValidationError, run_random_checks
 from enchilada.cli import main
 
@@ -351,3 +356,53 @@ def test_human_summary_plus_json(capsys):
     assert out.splitlines()[0].startswith("kernel:")
     payload = out[out.index("{") :]
     assert json.loads(payload)["verb"] == "kernel"
+
+
+@pytest.mark.parametrize("option", ["--max-blocks", "--max-dim", "--max-entry"])
+def test_random_check_bounds_are_capped(capsys, option):
+    # numpy draws nothing beyond int64; such a bound used to end in a traceback.
+    code = main(["random-check", option, str(10**30)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "must be at most 64" in json.loads(captured.out)["error"]
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_calls_in_one_process_print_what_fresh_processes_print(capsys):
+    # main parses every call with one argparse parser, so nothing one call
+    # sets (--tolerance, --json-only, --seed) may reach the next.
+    pair = json.dumps({
+        "x": {"source": {"blocks": [1]}, "target": {"blocks": [1, 2]}, "matrix": [[1, 1]]},
+        "y": {"source": {"blocks": [1, 2]}, "target": {"blocks": [1]}, "matrix": [[1], [1]]},
+    })
+    counts = json.dumps({"laws": 1, "universal": 1, "schubert": 1, "oracle": 1, "zero_tensor": 1})
+    calls = [
+        ["oracle-tensor", "--input", pair, "--tolerance", "0.99"],
+        ["oracle-tensor", "--input", pair, "--json-only"],
+        ["kernel", "--input", json.dumps(Y_JSON)],
+        ["random-check", "--seed", "-1", "--json-only"],
+        ["random-check", "--input", counts],
+        ["kernel", "--input", json.dumps(Y_JSON), "--seed", "x"],
+    ]
+    src = str(Path(enchilada.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "enchilada.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        for argv in calls
+    ]
+    try:
+        for argv, proc in zip(calls, procs):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the option
+                code = exc.code
+            captured = capsys.readouterr()
+            out, err = proc.communicate(timeout=120)
+            assert (code, captured.out, captured.err) == (proc.returncode, out, err), argv
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
