@@ -46,6 +46,7 @@ __all__ = [
     "random_corr",
     "enumerate_algebras",
     "enumerate_corrs",
+    "enumerate_chains",
     "SuiteResult",
     "RandomCheckReport",
     "suite_compose_laws",
@@ -119,6 +120,18 @@ def enumerate_corrs(
         yield CorrClass._trusted(source, target, rows)
 
 
+def enumerate_chains(length: int) -> Iterator[tuple[CorrClass, ...]]:
+    """Every chain of `length` composable classes with entries at most one over
+    the algebras with at most two blocks of size at most two; each class is
+    built once, and the chains come ordered by their endpoints first."""
+    algebras = enumerate_algebras()
+    classes = {
+        (a, b): tuple(enumerate_corrs(a, b)) for a, b in itertools.product(algebras, repeat=2)
+    }
+    for ends in itertools.product(algebras, repeat=length + 1):
+        yield from itertools.product(*(classes[pq] for pq in zip(ends, ends[1:])))
+
+
 @dataclass(frozen=True)
 class SuiteResult:
     name: str
@@ -160,19 +173,6 @@ def suite_compose_laws(
     return SuiteResult("compose laws", cases, tuple(fails))
 
 
-def _draw_class(rng, source, target, cells, max_entry, inf_prob) -> CorrClass:
-    """A random class that is zero outside `cells`; each cell in turn gets a
-    finite entry (probability 1/2), INF (`inf_prob`) or zero."""
-    rows = [[0] * target.block_count for _ in range(source.block_count)]
-    for i, j in cells:
-        u = rng.random()
-        if u < 0.5:
-            rows[i][j] = int(rng.integers(0, max_entry + 1))
-        elif u < 0.5 + inf_prob:
-            rows[i][j] = INF
-    return CorrClass(source, target, tuple(map(tuple, rows)))
-
-
 def _bumped(rng, m: CorrClass) -> CorrClass | None:
     """M with one random entry changed, for uniqueness probes; None when M
     has no entries."""
@@ -206,32 +206,28 @@ def suite_universal_properties(
         d = random_algebra(rng, max_blocks, max_size)
         x = random_corr(rng, a, b, max_entry, inf_prob)
 
+        # Every W with W * X = 0 is M * ker X for exactly one M; dually for X * W = 0.
         ker = kernel(x)
-        ker_ideal = left_kernel(x)
-        cells = [(i, j) for i in range(d.block_count) for j in ker_ideal.sorted_members]
-        w = _draw_class(rng, d, a, cells, max_entry, inf_prob)
+        m = random_corr(rng, d, ker.source, max_entry, inf_prob)
+        w = compose(m, ker)
         if not compose(w, x).is_zero:
             fails.append(f"case {n}: generated W does not annihilate X")
             continue
-        mediator = restrict_right(w, ker_ideal)
-        if compose(mediator, ker) != w:
+        if restrict_right(w, left_kernel(x)) != m:
             fails.append(f"case {n}: kernel factorization failed for {x!r}")
-        other = _bumped(rng, mediator)
+        other = _bumped(rng, m)
         if other is not None and compose(other, ker) == w:
             fails.append(f"case {n}: kernel mediator not unique for {x!r}")
 
         cok = cokernel(x)
-        support = right_support(x)
-        rest = [j for j in range(b.block_count) if j not in support.members]
-        cells = [(j, t) for j in rest for t in range(d.block_count)]
-        w2 = _draw_class(rng, b, d, cells, max_entry, inf_prob)
+        m2 = random_corr(rng, cok.target, d, max_entry, inf_prob)
+        w2 = compose(cok, m2)
         if not compose(x, w2).is_zero:
             fails.append(f"case {n}: generated W' is not annihilated by X")
             continue
-        mediator2 = factor_through_quotient(w2, support)
-        if compose(cok, mediator2) != w2:
+        if factor_through_quotient(w2, right_support(x)) != m2:
             fails.append(f"case {n}: cokernel factorization failed for {x!r}")
-        other = _bumped(rng, mediator2)
+        other = _bumped(rng, m2)
         if other is not None and compose(cok, other) == w2:
             fails.append(f"case {n}: cokernel mediator not unique for {x!r}")
     return SuiteResult("universal properties", cases, tuple(fails))
@@ -308,15 +304,8 @@ def suite_zero_tensor(
         c = random_algebra(rng, max_blocks, max_size)
         y = random_corr(rng, b, c, max_entry)
         if n % 2 == 0:
-            allowed = left_kernel(y).members
-            rows = []
-            for _ in range(a.block_count):
-                row = [
-                    int(rng.integers(0, max_entry + 1)) if j in allowed else 0
-                    for j in range(b.block_count)
-                ]
-                rows.append(tuple(row))
-            x = CorrClass(a, b, tuple(rows))
+            ker = kernel(y)
+            x = compose(random_corr(rng, a, ker.source, max_entry), ker)
         else:
             x = random_corr(rng, a, b, max_entry)
         symbolic = tensor_is_zero(x, y)
@@ -338,22 +327,15 @@ def suite_short_exact_theorem() -> SuiteResult:
     one."""
     fails = []
     cases = 0
-    algebras = enumerate_algebras(max_blocks=2, max_size=2)
-    classes = {
-        (a, b): tuple(enumerate_corrs(a, b, max_entry=1))
-        for a, b in itertools.product(algebras, repeat=2)
-    }
-    for a, b, c in itertools.product(algebras, repeat=3):
-        lead = zero_corr(ZERO_ALGEBRA, a)
-        tail = zero_corr(c, ZERO_ALGEBRA)
-        for x in classes[a, b]:
-            for y in classes[b, c]:
-                cases += 1
-                definition = all(
-                    schubert_image(f) == kernel(g) for f, g in ((lead, x), (x, y), (y, tail))
-                )
-                if check_short_exact(x, y).exact != definition:
-                    fails.append(f"disagreement for {x!r} and {y!r}")
+    algebras = enumerate_algebras()
+    lead = {a: zero_corr(ZERO_ALGEBRA, a) for a in algebras}
+    tail = {c: zero_corr(c, ZERO_ALGEBRA) for c in algebras}
+    for x, y in enumerate_chains(2):
+        cases += 1
+        nodes = ((lead[x.source], x), (x, y), (y, tail[y.target]))
+        definition = all(schubert_image(f) == kernel(g) for f, g in nodes)
+        if check_short_exact(x, y).exact != definition:
+            fails.append(f"disagreement for {x!r} and {y!r}")
     return SuiteResult("short exact theorem", cases, tuple(fails))
 
 
@@ -369,6 +351,9 @@ DEFAULT_BOUNDS = {"max_blocks": 3, "max_size": 3, "max_entry": 2}
 # The largest bound accepted: numpy draws nothing beyond int64, and the
 # classes the suites draw grow with each bound.
 MAX_BOUND = 64
+# The largest suite count accepted: the slowest suite, the tensor oracle,
+# takes a few milliseconds a case at the default bounds.
+MAX_CASES = 10_000
 
 
 @dataclass(frozen=True)
@@ -410,8 +395,9 @@ def run_random_checks(
     for key, value in {**cfg, **bnd}.items():
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ValidationError(f"{key} must be a positive integer, got {value!r}")
-        if key in bnd and value > MAX_BOUND:
-            raise ValidationError(f"{key} must be at most {MAX_BOUND}")
+        cap = MAX_BOUND if key in bnd else MAX_CASES
+        if value > cap:
+            raise ValidationError(f"{key} must be at most {cap}")
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     children = np.random.SeedSequence(seed).spawn(5)

@@ -23,7 +23,12 @@ __all__ = [
     "corr_from_json",
     "sequence_to_json",
     "sequence_from_json",
+    "MAX_BLOCKS",
 ]
+
+# The most blocks an algebra read from JSON may have: composing two classes
+# between such algebras already takes on the order of a second.
+MAX_BLOCKS = 256
 
 
 def _require_dict(obj, what: str) -> dict:
@@ -45,6 +50,8 @@ def algebra_to_json(a: FdCStarAlgebra) -> dict:
 def algebra_from_json(obj) -> FdCStarAlgebra:
     obj = _require_dict(obj, "algebra")
     blocks = _require_list(obj.get("blocks"), 'algebra "blocks"')
+    if len(blocks) > MAX_BLOCKS:
+        raise ValidationError(f"algebras have at most {MAX_BLOCKS} blocks, got {len(blocks)}")
     return FdCStarAlgebra(tuple(blocks))
 
 

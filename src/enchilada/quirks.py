@@ -16,7 +16,13 @@ import numpy as np
 
 from .algebras import FdCStarAlgebra, make_ideal
 from .cardinal import INF
-from .checks import enumerate_algebras, enumerate_corrs, random_algebra, random_corr
+from .checks import (
+    enumerate_algebras,
+    enumerate_chains,
+    enumerate_corrs,
+    random_algebra,
+    random_corr,
+)
 from .concrete import VANISH_TOL, interior_tensor, interior_tensor_norm, is_isomorphic, realize
 from .corr import (
     CorrClass,
@@ -24,13 +30,11 @@ from .corr import (
     direct_sum,
     dual,
     epi_finite_rank_test,
-    ideal_inclusion_corr,
     identity_corr,
     is_full,
     is_hilbert_bimodule,
     is_split_mono,
     kernel,
-    left_kernel,
     quotient_corr,
     restrict_right,
     right_support,
@@ -152,12 +156,9 @@ def _gallery_zero_tensor() -> GalleryTranscript:
             and interior_tensor_norm(realize(nz), realize(y)) >= VANISH_TOL,
         )
     )
-    agree = True
-    for aa, bb, cc in itertools.product(enumerate_algebras(), repeat=3):
-        for xx in enumerate_corrs(aa, bb, 1):
-            for yy in enumerate_corrs(bb, cc, 1):
-                if tensor_is_zero(xx, yy) != compose(xx, yy).is_zero:
-                    agree = False
+    agree = all(
+        tensor_is_zero(xx, yy) == compose(xx, yy).is_zero for xx, yy in enumerate_chains(2)
+    )
     steps.append(
         GalleryStep("support criterion matches vanishing composite on enumeration", agree)
     )
@@ -191,15 +192,13 @@ def _gallery_mono_necessity() -> GalleryTranscript:
     steps = []
     checked = 0
     ok = True
-    for a, b in itertools.product(enumerate_algebras(), repeat=2):
-        for x in enumerate_corrs(a, b, 1):
-            ker = left_kernel(x)
-            if ker.is_zero:
-                continue
-            checked += 1
-            w = ideal_inclusion_corr(ker)
-            if w.is_zero or not compose(w, x).is_zero:
-                ok = False
+    for (x,) in enumerate_chains(1):
+        w = kernel(x)
+        if w.is_zero:  # the left kernel is zero
+            continue
+        checked += 1
+        if not compose(w, x).is_zero:
+            ok = False
     steps.append(
         GalleryStep(
             "every class with a nonzero left kernel is killed by a nonzero W",
@@ -273,32 +272,28 @@ def _gallery_quotient_is_epi_probe() -> GalleryTranscript:
 
 
 def _gallery_hb_image() -> GalleryTranscript:
-    algebras = enumerate_algebras()
     factorizations = 0
     ok_factor = ok_unique = True
-    for a, b in itertools.product(algebras, repeat=2):
-        for x in enumerate_corrs(a, b, 1):
-            if not is_hilbert_bimodule(x):
-                continue
-            img = schubert_image(x)
-            through = restrict_right(x, right_support(x))
-            if compose(through, img) != x:
-                ok_factor = False
-            for c in algebras:
-                for z in enumerate_corrs(c, b, 1):
-                    if not is_split_mono(z):
+    for (x,) in enumerate_chains(1):
+        if not is_hilbert_bimodule(x):
+            continue
+        img = schubert_image(x)
+        through = restrict_right(x, right_support(x))
+        if compose(through, img) != x:
+            ok_factor = False
+        for c in enumerate_algebras():
+            for z in enumerate_corrs(c, x.target, 1):
+                if not is_split_mono(z):
+                    continue
+                for y in enumerate_corrs(x.source, c, 2):
+                    if compose(y, z) != x:
                         continue
-                    for y in enumerate_corrs(a, c, 2):
-                        if compose(y, z) != x:
-                            continue
-                        factorizations += 1
-                        mediators = [
-                            m
-                            for m in enumerate_corrs(img.source, c, 2)
-                            if compose(m, z) == img
-                        ]
-                        if len(mediators) != 1:
-                            ok_unique = False
+                    factorizations += 1
+                    mediators = [
+                        m for m in enumerate_corrs(img.source, c, 2) if compose(m, z) == img
+                    ]
+                    if len(mediators) != 1:
+                        ok_unique = False
     steps = [
         GalleryStep("every Hilbert bimodule factors through its Schubert image", ok_factor),
         GalleryStep(

@@ -368,6 +368,27 @@ def test_random_check_bounds_are_capped(capsys, option):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("count", [10_001, 10**30, 2**63])
+def test_random_check_counts_are_capped(capsys, count):
+    # A valid count is that many cases; 10**9 of them used to mean days of work.
+    code = main(["random-check", "--input", json.dumps({"oracle": count})])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"] == "oracle must be at most 10000"
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("blocks, code", [(256, 0), (257, 2)])
+def test_algebra_block_count_is_capped(capsys, blocks, code):
+    x = {"source": {"blocks": [1]}, "target": {"blocks": [1] * blocks}, "matrix": [[1] * blocks]}
+    assert main(["kernel", "--input", json.dumps(x), "--json-only"]) == code
+    report = json.loads(capsys.readouterr().out)
+    if code:
+        assert report["error"] == "algebras have at most 256 blocks, got 257"
+    else:
+        assert report["verb"] == "kernel"
+
+
 def test_calls_in_one_process_print_what_fresh_processes_print(capsys):
     # main parses every call with one argparse parser, so nothing one call
     # sets (--tolerance, --json-only, --seed) may reach the next.

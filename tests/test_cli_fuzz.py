@@ -100,8 +100,13 @@ def _request(rng, verb):
     about half the requests carry options; the least random draws give the
     valid request, which hypothesis shrinks towards."""
     # A valid suite count asks for that many cases, so for random-check a
-    # large positive count is a long run on purpose, not malformed input.
-    scalars = [v for v in SCALARS if verb != "random-check" or not (type(v) is int and v > 2)]
+    # count from 3 up to the cap is a long run on purpose, not malformed
+    # input; larger counts are refused.
+    scalars = [
+        v
+        for v in SCALARS
+        if verb != "random-check" or not (type(v) is int and 2 < v <= checks.MAX_CASES)
+    ]
     obj = VALID[verb]
     for _ in range(rng.choice([0, 0, 0, 1, 2, 3])):
         obj = _mutated(rng, obj, scalars)

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 
+from enchilada import checks
 from enchilada import (
     CorrClass,
     cokernel,
@@ -11,6 +12,7 @@ from enchilada import (
     direct_sum,
     dual,
     enumerate_algebras,
+    enumerate_chains,
     enumerate_corrs,
     ideal_inclusion_corr,
     identity_corr,
@@ -22,6 +24,7 @@ from enchilada import (
     kernel,
     left_inverse,
     left_kernel,
+    quotient,
     random_algebra,
     random_corr,
     restrict_right,
@@ -32,6 +35,7 @@ from enchilada import (
     suite_compose_laws,
     suite_schubert_identities,
     suite_universal_properties,
+    suite_zero_tensor,
     tensor_is_zero,
     zero_corr,
 )
@@ -45,6 +49,32 @@ def test_compose_laws_suite():
 def test_universal_properties_suite():
     result = suite_universal_properties(np.random.default_rng(12), cases=40)
     assert result.ok, result.failures
+
+
+def test_universal_suite_compares_each_mediator_with_the_drawn_one(monkeypatch):
+    # The suite draws M and builds W = M * ker X (dually W' = coker X * M), so
+    # a mediator other than M is reported.
+    monkeypatch.setattr(checks, "restrict_right", lambda w, sub: zero_corr(w.source, sub.algebra))
+    monkeypatch.setattr(
+        checks,
+        "factor_through_quotient",
+        lambda w, ideal: zero_corr(quotient(w.source, ideal), w.target),
+    )
+    failures = suite_universal_properties(np.random.default_rng(12), cases=40).failures
+    assert any("kernel factorization failed" in f for f in failures)
+    assert any("cokernel factorization failed" in f for f in failures)
+
+
+def test_zero_tensor_suite_draws_vanishing_pairs_on_even_cases(monkeypatch):
+    verdicts = []
+
+    def recorded(x, y):
+        verdicts.append(tensor_is_zero(x, y))
+        return verdicts[-1]
+
+    monkeypatch.setattr(checks, "tensor_is_zero", recorded)
+    assert suite_zero_tensor(np.random.default_rng(25), cases=40).ok
+    assert all(verdicts[0::2]) and not all(verdicts[1::2])
 
 
 def test_schubert_identities_suite():
@@ -64,12 +94,19 @@ def test_direct_sum_laws():
         assert direct_sum(x, zero_corr(a, b)) == x
 
 
+def test_enumerate_chains_counts_and_shares_classes():
+    singles = list(enumerate_chains(1))
+    assert len(singles) == 341 and all(len(chain) == 1 for chain in singles)
+    pairs = list(enumerate_chains(2))
+    assert len(pairs) == 22247
+    assert all(x.target == y.source for x, y in pairs)
+    assert len({id(x) for pair in pairs for x in pair}) == 341  # each class built once
+    assert {x for (x,) in singles} == {x for pair in pairs for x in pair}
+
+
 def test_zero_tensor_iff_zero_composite_exhaustive():
-    algebras = enumerate_algebras(max_blocks=2, max_size=2)
-    for a, b, c in itertools.product(algebras, repeat=3):
-        for x in enumerate_corrs(a, b, 1):
-            for y in enumerate_corrs(b, c, 1):
-                assert tensor_is_zero(x, y) == compose(x, y).is_zero
+    for x, y in enumerate_chains(2):
+        assert tensor_is_zero(x, y) == compose(x, y).is_zero
 
 
 def test_restriction_to_support_preserves_composites():
