@@ -7,6 +7,7 @@ rerun reproduces the transcript byte for byte.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
@@ -98,38 +99,37 @@ def random_corr(
     return CorrClass(source, target, tuple(rows))
 
 
-def enumerate_algebras(
-    max_blocks: int = 2, max_size: int = 2, include_zero: bool = True
-) -> tuple[FdCStarAlgebra, ...]:
-    """All algebras with at most `max_blocks` blocks of size at most `max_size`."""
-    out = [FdCStarAlgebra(())] if include_zero else []
-    for r in range(1, max_blocks + 1):
-        for combo in itertools.product(range(1, max_size + 1), repeat=r):
-            out.append(FdCStarAlgebra(combo))
-    return tuple(out)
+def enumerate_algebras() -> tuple[FdCStarAlgebra, ...]:
+    """The zero algebra, then every algebra of one or two blocks of size at
+    most two, shortest first."""
+    shapes = [()] + [s for r in (1, 2) for s in itertools.product((1, 2), repeat=r)]
+    return tuple(FdCStarAlgebra(shape) for shape in shapes)
 
 
+@functools.cache
 def enumerate_corrs(
-    source: FdCStarAlgebra, target: FdCStarAlgebra, max_entry: int = 1
-) -> Iterator[CorrClass]:
-    """All classes between two algebras with entries bounded by `max_entry`."""
-    s = target.block_count
-    cells = source.block_count * s
-    for combo in itertools.product(range(max_entry + 1), repeat=cells):
-        rows = tuple(combo[i * s : (i + 1) * s] for i in range(source.block_count))
-        yield CorrClass._trusted(source, target, rows)
+    source: FdCStarAlgebra, target: FdCStarAlgebra, max_entry: int
+) -> tuple[CorrClass, ...]:
+    """All classes between two algebras with entries bounded by `max_entry`.
+
+    The result is one tuple shared by every caller in the process, so each
+    class is built once; it is meant for small algebras.  Over
+    `enumerate_algebras()` the tables hold 341, 1,465 and 4,381 classes in
+    all at bounds 1, 2 and 3.
+    """
+    r, s = source.block_count, target.block_count
+    return tuple(
+        CorrClass._trusted(source, target, tuple(combo[i * s : (i + 1) * s] for i in range(r)))
+        for combo in itertools.product(range(max_entry + 1), repeat=r * s)
+    )
 
 
 def enumerate_chains(length: int) -> Iterator[tuple[CorrClass, ...]]:
-    """Every chain of `length` composable classes with entries at most one over
-    the algebras with at most two blocks of size at most two; each class is
-    built once, and the chains come ordered by their endpoints first."""
-    algebras = enumerate_algebras()
-    classes = {
-        (a, b): tuple(enumerate_corrs(a, b)) for a, b in itertools.product(algebras, repeat=2)
-    }
-    for ends in itertools.product(algebras, repeat=length + 1):
-        yield from itertools.product(*(classes[pq] for pq in zip(ends, ends[1:])))
+    """Every chain of `length` composable classes with entries at most one
+    over `enumerate_algebras()`, ordered by their endpoints first; the
+    classes come from the shared `enumerate_corrs` tables."""
+    for ends in itertools.product(enumerate_algebras(), repeat=length + 1):
+        yield from itertools.product(*(enumerate_corrs(p, q, 1) for p, q in zip(ends, ends[1:])))
 
 
 @dataclass(frozen=True)
@@ -330,10 +330,12 @@ def suite_short_exact_theorem() -> SuiteResult:
     algebras = enumerate_algebras()
     lead = {a: zero_corr(ZERO_ALGEBRA, a) for a in algebras}
     tail = {c: zero_corr(c, ZERO_ALGEBRA) for c in algebras}
+    # Only 341 classes and the zero ends occur, so each side is built once per class.
+    image, ker = functools.cache(schubert_image), functools.cache(kernel)
     for x, y in enumerate_chains(2):
         cases += 1
         nodes = ((lead[x.source], x), (x, y), (y, tail[y.target]))
-        definition = all(schubert_image(f) == kernel(g) for f, g in nodes)
+        definition = all(image(f) == ker(g) for f, g in nodes)
         if check_short_exact(x, y).exact != definition:
             fails.append(f"disagreement for {x!r} and {y!r}")
     return SuiteResult("short exact theorem", cases, tuple(fails))

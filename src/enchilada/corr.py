@@ -169,11 +169,7 @@ def direct_sum(x: CorrClass, y: CorrClass) -> CorrClass:
 
 def right_support(x: CorrClass) -> IdealRef:
     """The ideal B_X of the target spanned by the inner products: nonzero columns."""
-    members = {
-        j
-        for j in range(x.target.block_count)
-        if any(x.matrix[i][j] for i in range(x.source.block_count))
-    }
+    members = {j for j, col in enumerate(_columns(x)) if any(col)}
     return make_ideal(x.target, members)
 
 

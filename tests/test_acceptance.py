@@ -93,7 +93,7 @@ def test_criterion_5_short_exact_theorem():
 
 def test_criterion_6_split_mono_characterization():
     started = time.perf_counter()
-    algebras = enumerate_algebras(max_blocks=2, max_size=2)
+    algebras = enumerate_algebras()
     mismatches = []
     witnessed = 0
     checked = 0

@@ -7,6 +7,7 @@ import numpy as np
 from enchilada import checks
 from enchilada import (
     CorrClass,
+    FdCStarAlgebra,
     cokernel,
     compose,
     direct_sum,
@@ -24,7 +25,9 @@ from enchilada import (
     kernel,
     left_inverse,
     left_kernel,
+    make_ideal,
     quotient,
+    quotient_corr,
     random_algebra,
     random_corr,
     restrict_right,
@@ -102,6 +105,30 @@ def test_enumerate_chains_counts_and_shares_classes():
     assert all(x.target == y.source for x, y in pairs)
     assert len({id(x) for pair in pairs for x in pair}) == 341  # each class built once
     assert {x for (x,) in singles} == {x for pair in pairs for x in pair}
+    algebras = enumerate_algebras()
+    # The chain order, and so the 22,247 count above, rest on this order.
+    assert algebras == tuple(
+        FdCStarAlgebra(blocks)
+        for blocks in ((), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2))
+    )
+    ends = list(itertools.product(algebras, repeat=2))
+    for k in (1, 2, 3):
+        assert all(enumerate_corrs(a, b, k) is enumerate_corrs(a, b, k) for a, b in ends)
+    table = [x for a, b in ends for x in enumerate_corrs(a, b, 1)]
+    assert len(table) == len(singles)
+    assert all(x is y for (x,), y in zip(singles, table))  # the shared objects, in order
+
+
+def test_quotient_maps_are_the_cokernels_of_the_enumeration():
+    # Reference: one quotient map per subset of blocks of each enumerated algebra.
+    reference = {
+        quotient_corr(b, make_ideal(b, members))
+        for b in enumerate_algebras()
+        for size in range(b.block_count + 1)
+        for members in itertools.combinations(range(b.block_count), size)
+    }
+    assert reference == {cokernel(x) for (x,) in enumerate_chains(1)}
+    assert len(reference) == 21
 
 
 def test_zero_tensor_iff_zero_composite_exhaustive():
@@ -141,7 +168,7 @@ def test_nonzero_left_kernel_gives_distinguishing_pair():
 
 
 def test_invertible_iff_split_both_iff_permutation():
-    algebras = enumerate_algebras(max_blocks=2, max_size=2)
+    algebras = enumerate_algebras()
     for a, b in itertools.product(algebras, repeat=2):
         for x in enumerate_corrs(a, b, 2):
             split_both = is_split_mono(x) and is_split_epi(x)
@@ -182,7 +209,7 @@ def test_one_sided_inverses_bounded_search():
     # exactly when every row of X holds a 1 that is alone in its column, a
     # strictly wider class than the partial permutations.  Witness:
     # [[1, 1]] * [[1], [0]] = [[1]].  (See DECISIONS.md.)
-    algebras = enumerate_algebras(max_blocks=2, max_size=2)
+    algebras = enumerate_algebras()
     for a, b in itertools.product(algebras, repeat=2):
         ia = identity_corr(a)
         for x in enumerate_corrs(a, b, 2):
@@ -199,7 +226,7 @@ def test_one_sided_inverses_bounded_search():
 def test_right_inverses_bounded_search():
     # The mirror statement: M * X = 1 for some M exactly when every column of
     # X holds a 1 that is alone in its row.  Witness: [[1, 0]] * [[1], [1]].
-    algebras = enumerate_algebras(max_blocks=2, max_size=2)
+    algebras = enumerate_algebras()
     for a, b in itertools.product(algebras, repeat=2):
         ib = identity_corr(b)
         for x in enumerate_corrs(a, b, 1):
@@ -241,7 +268,7 @@ def test_kernel_of_random_class_is_split_mono():
 def test_left_full_hilbert_bimodules_are_exactly_kernels():
     # forward: a left-full partial permutation is a kernel of the quotient
     # by its support; backward: kernels are left-full partial permutations
-    algebras = enumerate_algebras(max_blocks=2, max_size=2)
+    algebras = enumerate_algebras()
     for a, b in itertools.product(algebras, repeat=2):
         for x in enumerate_corrs(a, b, 1):
             if is_left_full_hilbert_bimodule(x):

@@ -1,3 +1,5 @@
+import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -176,11 +178,17 @@ def test_report_json_shape():
     assert len(data["conditions"]) == 3
 
 
+# Every transcript as printed, counts included (factorizations, quotient maps,
+# checked classes), so a change to an enumeration shows up here.
+GALLERY_GOLDEN = json.loads((Path(__file__).parent / "gallery_golden.json").read_text())
+
+
 @pytest.mark.parametrize("name", GALLERY_NAMES)
 def test_gallery_entries_pass(name):
     transcript = gallery(name)
     assert transcript.passed, [s.label for s in transcript.steps if not s.passed]
     assert transcript.steps
+    assert transcript.to_json() == GALLERY_GOLDEN[name]
 
 
 def test_gallery_unknown_name():
