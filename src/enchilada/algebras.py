@@ -80,6 +80,14 @@ class IdealRef:
                 )
         object.__setattr__(self, "members", members)
 
+    @classmethod
+    def _trusted(cls, parent, members) -> IdealRef:
+        """An ideal from a frozenset of block indices of `parent` that are
+        already known valid; skips the check in __post_init__."""
+        ideal = object.__new__(cls)
+        ideal.__dict__.update(parent=parent, members=members)  # frozen only blocks setattr
+        return ideal
+
     @property
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))

@@ -7,9 +7,11 @@ failing condition or node), 2 malformed input or validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .checks import run_random_checks
@@ -102,9 +104,52 @@ def _load_input(raw: str | None, verb: str):
         ) from None
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _encoder(pad: str):
+    """The C encoder's compact form with every separator a new line at `pad`."""
+    return json.JSONEncoder(separators=(",\n" + pad, ": ")).encode
+
+
+def _indented(value, pad: str) -> str:
+    """What `json.dumps(value, indent=2)` writes, nested at `pad`.
+
+    A list of scalars is one call to the C encoder.  So is a matrix, a list
+    of non-empty scalar lists: its row boundaries `],<newline><pad>[` are
+    then split apart, and an encoded string never holds a raw newline, so no
+    string can be taken for a boundary.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(type(key) is str for key in value):  # json converts such keys
+            return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+        return "{\n" + ",\n".join(
+            f"{inner}{encode_basestring_ascii(key)}: {_indented(item, inner)}"
+            for key, item in value.items()
+        ) + "\n" + pad + "}"
+    if not isinstance(value, (list, tuple)):
+        return _encoder(pad)(value)
+    if not value:
+        return "[]"
+    if _SCALARS.issuperset(map(type, value)):
+        return "[\n" + inner + _encoder(inner)(value)[1:-1] + "\n" + pad + "]"
+    if all(type(row) is list and row and _SCALARS.issuperset(map(type, row)) for row in value):
+        row_pad = inner + "  "
+        body = _encoder(row_pad)(value)[2:-2].replace(
+            "],\n" + row_pad + "[", "\n" + inner + "],\n" + inner + "[\n" + row_pad
+        )
+        return f"[\n{inner}[\n{row_pad}{body}\n{inner}]\n{pad}]"
+    return "[\n" + ",\n".join(inner + _indented(item, inner) for item in value) + "\n" + pad + "]"
+
+
 def _dumps(report: dict) -> str:
+    """The report as `json.dumps(report, indent=2)` writes it."""
     try:
-        return json.dumps(report, indent=2)
+        return _indented(report, "")
     except ValueError:  # an int beyond sys.get_int_max_str_digits(), e.g. a product
         raise ValidationError(
             f"the result has an integer of more than {sys.get_int_max_str_digits()} "
@@ -328,7 +373,7 @@ def main(argv=None) -> int:
         report = {"error": str(exc)}
         if not args.json_only:
             print(f"error: {exc}", file=sys.stderr)
-        print(json.dumps(report, indent=2))
+        print(_dumps(report))
         return 2
     if not args.json_only:
         for line in lines():

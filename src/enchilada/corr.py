@@ -18,8 +18,11 @@ and quotient maps read off from those supports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .algebras import FdCStarAlgebra, IdealRef, make_ideal, quotient
+import numpy as np
+
+from .algebras import FdCStarAlgebra, IdealRef, quotient
 from .cardinal import INF, card
 from .errors import ValidationError
 
@@ -136,21 +139,64 @@ def _total(terms) -> int | float:
         return INF
 
 
+# The smallest r·k·s at which compose multiplies an r x k by a k x s matrix
+# through numpy; below it the Python loop is faster (see DECISIONS.md).
+WIDE_COMPOSE_MIN = 216
+_FLOAT_EXACT = 2.0**53  # every int below it converts to float64 exactly
+_INT64_LIMIT = 2**63
+
+
+def _wide_product(xm, ym, r: int, k: int, s: int):
+    """The cardinal product of two non-empty matrices through numpy, as rows
+    of Python ints and INF; None when an entry or a sum may not be exact.
+
+    The finite parts multiply as int64; a result entry is INF where a term
+    pairs INF with a nonzero entry, which two boolean products find.
+    """
+    try:
+        a = np.fromiter(chain.from_iterable(xm), np.float64, r * k).reshape(r, k)
+        b = np.fromiter(chain.from_iterable(ym), np.float64, k * s).reshape(k, s)
+    except OverflowError:  # an int beyond float range
+        return None
+    a_nonzero, b_nonzero = a != 0, b != 0
+    a_inf, b_inf = np.isinf(a), np.isinf(b)
+    a[a_inf] = 0.0
+    b[b_inf] = 0.0
+    a_max, b_max = a.max(), b.max()
+    # Every entry converted exactly, and no int64 sum of k terms can wrap.
+    if max(a_max, b_max) >= _FLOAT_EXACT or int(a_max) * int(b_max) * k >= _INT64_LIMIT:
+        return None
+    product = a.astype(np.int64) @ b.astype(np.int64)
+    inf = (a_inf @ b_nonzero) | (a_nonzero @ b_inf)
+    if inf.any():
+        product = product.astype(object)  # Python ints, so INF can sit among them
+        product[inf] = INF
+    return tuple(map(tuple, product.tolist()))
+
+
 def compose(x: CorrClass, y: CorrClass) -> CorrClass:
     """Composition A -> C of X : A -> B with Y : B -> C (tensor over B).
 
     The matrix is the cardinal product X.matrix * Y.matrix, where a term
-    with a zero factor is skipped: that is the rule INF * 0 = 0.
+    with a zero factor is skipped: that is the rule INF * 0 = 0.  Products
+    of at least WIDE_COMPOSE_MIN terms go through numpy when every entry
+    and sum is exact there; both paths give the same rows.
     """
     if x.target != y.source:
         raise ValidationError(
             f"cannot compose: first ends at {x.target!r}, second starts at {y.source!r}"
         )
-    cols = _columns(y)
-    rows = tuple(
-        tuple(_total(a * b for a, b in zip(row, col) if a and b) for col in cols)
-        for row in x.matrix
-    )
+    r, k = x.shape
+    s = y.target.block_count
+    rows = None
+    if r * k * s >= WIDE_COMPOSE_MIN:
+        rows = _wide_product(x.matrix, y.matrix, r, k, s)
+    if rows is None:
+        cols = _columns(y)
+        rows = tuple(
+            tuple(_total(a * b for a, b in zip(row, col) if a and b) for col in cols)
+            for row in x.matrix
+        )
     return CorrClass._trusted(x.source, y.target, rows)
 
 
@@ -169,14 +215,14 @@ def direct_sum(x: CorrClass, y: CorrClass) -> CorrClass:
 
 def right_support(x: CorrClass) -> IdealRef:
     """The ideal B_X of the target spanned by the inner products: nonzero columns."""
-    members = {j for j, col in enumerate(_columns(x)) if any(col)}
-    return make_ideal(x.target, members)
+    members = frozenset(j for j, col in enumerate(_columns(x)) if any(col))
+    return IdealRef._trusted(x.target, members)
 
 
 def left_kernel(x: CorrClass) -> IdealRef:
     """The kernel of the left-action homomorphism: the all-zero rows."""
-    members = {i for i, row in enumerate(x.matrix) if not any(row)}
-    return make_ideal(x.source, members)
+    members = frozenset(i for i, row in enumerate(x.matrix) if not any(row))
+    return IdealRef._trusted(x.source, members)
 
 
 def is_full(x: CorrClass) -> bool:

@@ -1,12 +1,13 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cardinal_reference as ref
 from cardinal_reference import Cardinal
 from enchilada import INF, CorrClass, ValidationError, card, compose, direct_sum, make_algebra
+from enchilada.corr import WIDE_COMPOSE_MIN, _wide_product
 
 cardinals = st.one_of(st.integers(0, 40).map(Cardinal), st.just(ref.INF))
 # Zero and INF drawn often, so that INF meets 0 in most products.
@@ -98,3 +99,56 @@ def test_compose_and_direct_sum_match_reference(data):
     rx, rx2, ry = (ref.from_entries(z.matrix) for z in (x, x2, y))
     assert compose(x, y).matrix == ref.to_entries(ref.compose(rx, ry, t))
     assert direct_sum(x, x2).matrix == ref.to_entries(ref.direct_sum(rx, rx2))
+
+
+def _int64_edge(k: int) -> int:
+    """The largest m with m * m * k <= 2**63: sums of k products of entries up
+    to m reach 2**63 - 1 or less, except when m * m * k is 2**63 itself."""
+    return math.isqrt(2**63 // k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_compose_matches_reference_on_both_sides_of_the_numpy_gate(data):
+    # Half the draws have 8 to 12 blocks a side, above the gate; the others
+    # have 0 to 12, mostly below it, with empty algebras among them.
+    low = data.draw(st.sampled_from([0, 8]))
+    assert 8**3 >= WIDE_COMPOSE_MIN
+    r, k, s = (data.draw(st.integers(low, 12)) for _ in range(3))
+    # Each draw mixes small entries with a few values at the edges of the
+    # numpy path: float64 is exact below 2**53, int64 sums stay exact while
+    # max|x|·max|y|·k < 2**63, and an int beyond float range cannot convert.
+    edge = _int64_edge(max(k, 1))
+    special = [2**53 - 1, 2**53, 2**53 + 1, edge - 1, edge, edge + 1, 10**30, 10**400]
+    values = [0, 0, 0, 1, 2, 3, INF, *data.draw(st.lists(st.sampled_from(special), max_size=2))]
+    a, b, c = (make_algebra([1] * n) for n in (r, k, s))
+    entry = st.sampled_from(values)
+    x = CorrClass(a, b, [data.draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(r)])
+    y = CorrClass(b, c, [data.draw(st.lists(entry, min_size=s, max_size=s)) for _ in range(k)])
+    got = compose(x, y).matrix
+    assert got == ref.to_entries(ref.compose(ref.from_entries(x.matrix), ref.from_entries(y.matrix), s))
+    assert {type(v) for row in got for v in row} <= {int, float}  # no numpy scalars
+
+
+@pytest.mark.parametrize(
+    "n, x_entry, y_entry, wide",
+    [
+        (8, 3, INF, True),
+        (8, 2**53 - 1, 1, True),    # exact in float64, and (2**53 - 1)·1·8 < 2**63
+        (8, 2**53 + 1, 1, False),   # float64 would round it to 2**53
+        (9, _int64_edge(9), _int64_edge(9), True),  # sums of 9 products stay below 2**63
+        (9, _int64_edge(9) + 1, _int64_edge(9) + 1, False),
+        (8, _int64_edge(8) - 1, _int64_edge(8) - 1, True),
+        (8, _int64_edge(8), _int64_edge(8), False),  # 2**30 · 2**30 · 8 is 2**63 itself
+        (8, 10**400, 1, False),     # beyond float range
+    ],
+)
+def test_numpy_path_runs_exactly_when_its_arithmetic_is_exact(n, x_entry, y_entry, wide):
+    assert n**3 >= WIDE_COMPOSE_MIN
+    a = make_algebra([1] * n)
+    # Uniform rows make every sum as large as the entries allow.
+    x = CorrClass(a, a, [[x_entry] * n] * n)
+    y = CorrClass(a, a, [[y_entry] * n] * n)
+    assert (_wide_product(x.matrix, y.matrix, n, n, n) is not None) == wide
+    want = ref.to_entries(ref.compose(ref.from_entries(x.matrix), ref.from_entries(y.matrix), n))
+    assert compose(x, y).matrix == want

@@ -5,10 +5,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import enchilada
 from enchilada import ValidationError, run_random_checks
-from enchilada.cli import main
+from enchilada.cli import _dumps, main
 
 X_JSON = {"source": {"blocks": [1]}, "target": {"blocks": [1, 1]}, "matrix": [[1, 0]]}
 Y_JSON = {"source": {"blocks": [1, 1]}, "target": {"blocks": [1]}, "matrix": [[0], [1]]}
@@ -427,3 +429,53 @@ def test_calls_in_one_process_print_what_fresh_processes_print(capsys):
         for proc in procs:
             proc.kill()
             proc.wait()
+
+
+# Report-shaped values: what corr_to_json, the ideal, predicate, exactness,
+# oracle and gallery reports hold, and the cases where the writer's fast
+# paths end.  A string may hold a row boundary with a raw newline.
+REPORT_SHAPED = [
+    {},
+    [],
+    {"verb": "kernel", "result": {"source": {"blocks": []}, "target": {"blocks": [1]}, "matrix": []}},
+    {"matrix": [[], []], "ideal": {"members": []}},
+    {"matrix": [[1, "inf", 0], [2**70, 3, "inf"]]},
+    {"matrix": [[1], [2, 3]], "ragged": [[1, 2], []]},
+    {"tuple": (1, (2, "inf")), "rows": ((1,), (2,))},
+    {"mixed": [1, [2], {"a": None}, "s", True, 2.5, [[3]]]},
+    {"gram_norm": 0.1 + 0.2, "tiny": 5e-324, "match": False, "value": None, "entry": "inf"},
+    {"error": "matrice non carrée: 3 ≠ 2 — ∞ \U0001F600"},
+    {"label": "a],\n  [b", "matrix": [["],\n    [", 1], [2]], "steps": ["x\ny"]},
+    {"nodes": [{"node": 1, "image": [], "kernel": [1, 2], "exact": True}], "violated": ["node 1"]},
+    {"predicates": {}, "deep": [[[1, 2]], [[3]]], 1: "a key json converts"},
+]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | st.just("inf"),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+def test_report_writer_matches_json_dumps():
+    for value in REPORT_SHAPED:
+        assert _dumps(value) == json.dumps(value, indent=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values)
+def test_report_writer_matches_json_dumps_on_any_json_value(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+def test_report_writer_refuses_unprintable_integers():
+    for report in ({"n": 10**5000}, {"row": [1, 10**5000]}, {"matrix": [[1], [10**5000]]}):
+        with pytest.raises(ValidationError, match="cannot be printed"):
+            _dumps(report)
+
+
+def test_error_report_is_written_like_every_report(capsys):
+    code = main(["compose", "--input", '{"x": nope'])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == json.dumps(json.loads(captured.out), indent=2) + "\n"

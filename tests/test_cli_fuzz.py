@@ -37,6 +37,22 @@ VALID = {
     "random-check": COUNTS,
 }
 assert set(VALID) == set(VERBS)
+# Two more compose inputs, wide enough for compose's numpy path and holding
+# INF.  The second also holds 2**63, beyond what that path multiplies exactly,
+# so its valid requests take the Python fallback.
+WIDE = {"blocks": [1, 2, 3] * 3}
+WIDE_X = {
+    "source": WIDE,
+    "target": WIDE,
+    "matrix": [["inf" if (i + j) % 7 == 0 else (i * j) % 4 for j in range(9)] for i in range(9)],
+}
+WIDE_HUGE = {**WIDE_X, "matrix": [[2**63, *WIDE_X["matrix"][0][1:]], *WIDE_X["matrix"][1:]]}
+# Each case is a verb and the valid request its mutations start from.
+CASES = {
+    **{verb: (verb, VALID[verb]) for verb in VERBS},
+    "compose-wide": ("compose", {"x": WIDE_X, "y": WIDE_X}),
+    "compose-wide-huge": ("compose", {"x": WIDE_X, "y": WIDE_HUGE}),
+}
 
 HUGE = 10**30
 SCALARS = [None, "x", "inf", "Inf", "", True, False, 0, 2, -1, -HUGE, HUGE, 2**63, 2.5, 1e300]
@@ -95,10 +111,11 @@ def _mutated(rng, obj, scalars):
     return _replace(obj, path, new)
 
 
-def _request(rng, verb):
-    """A mutated request for `verb`.  About half the inputs stay valid and
-    about half the requests carry options; the least random draws give the
-    valid request, which hypothesis shrinks towards."""
+def _request(rng, verb, obj):
+    """A mutated request for `verb` from the valid input `obj`.  About half
+    the inputs stay valid and about half the requests carry options; the
+    least random draws give the valid request, which hypothesis shrinks
+    towards."""
     # A valid suite count asks for that many cases, so for random-check a
     # count from 3 up to the cap is a long run on purpose, not malformed
     # input; larger counts are refused.
@@ -107,7 +124,6 @@ def _request(rng, verb):
         for v in SCALARS
         if verb != "random-check" or not (type(v) is int and 2 < v <= checks.MAX_CASES)
     ]
-    obj = VALID[verb]
     for _ in range(rng.choice([0, 0, 0, 1, 2, 3])):
         obj = _mutated(rng, obj, scalars)
     text = json.dumps(obj)
@@ -140,8 +156,9 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("verb", VERBS)
-def test_cli_never_crashes(monkeypatch, verb):
+@pytest.mark.parametrize("case", CASES)
+def test_cli_never_crashes(monkeypatch, case):
+    verb, valid = CASES[case]
     # The exhaustive short-exact suite reads nothing from the request, and the
     # default suite counts apply only where a mutation drops a count; both are
     # cut to keep each random-check request to a few cases.
@@ -153,7 +170,7 @@ def test_cli_never_crashes(monkeypatch, verb):
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.randoms(use_true_random=False))
     def check(rng):
-        argv = _request(rng, verb)
+        argv = _request(rng, verb, valid)
         code, out, err = _run(argv)
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err, err

@@ -1,9 +1,10 @@
-"""Every public producer returns a class that survives the full entry check.
+"""Every public producer returns a class or ideal that survives the full check.
 
-The producers build their results with `CorrClass._trusted`, which skips
-the check in `__post_init__`.  Rebuilding each result through the public
-constructor re-checks it, so a producer that leaks a list row, an entry
-`card` would refuse, or a row of the wrong length fails here.
+The producers build their results with `CorrClass._trusted` and
+`IdealRef._trusted`, which skip the check in `__post_init__`.  Rebuilding
+each result through the public constructor re-checks it, so a producer that
+leaks a list row, an entry `card` would refuse (a numpy scalar among them),
+a row of the wrong length or a member outside the algebra fails here.
 """
 
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from enchilada import (
     left_inverse,
     left_kernel,
     make_algebra,
+    make_ideal,
     quotient_corr,
     realize,
     restrict_right,
@@ -34,10 +36,14 @@ from enchilada import (
     schubert_image,
     zero_corr,
 )
+from enchilada.corr import WIDE_COMPOSE_MIN
 
 algebras = st.lists(st.integers(1, 2), max_size=3).map(make_algebra)
 # Zero and 1 drawn often, so that supports, kernels and inverses are not trivial.
 entries = st.sampled_from([0, 0, 1, 1, 2, INF, 10**400])
+# Composing two classes over 8 blocks takes the numpy path.
+wide = make_algebra([1, 2] * 4)
+assert wide.block_count**3 >= WIDE_COMPOSE_MIN
 
 
 def _matrix(data, source, target, values=entries):
@@ -49,6 +55,11 @@ def _assert_checked(result):
     assert type(result.matrix) is tuple
     assert all(type(row) is tuple for row in result.matrix)
     assert result == CorrClass(result.source, result.target, result.matrix)
+
+
+def _assert_checked_ideal(ideal):
+    assert type(ideal.members) is frozenset
+    assert ideal == make_ideal(ideal.parent, ideal.members)
 
 
 @settings(max_examples=150, deadline=None)
@@ -79,8 +90,14 @@ def test_producers_return_checked_classes(data):
     ]
     finite = CorrClass(a, b, _matrix(data, a, b, st.integers(0, 2)))
     results.append(classify(realize(finite)))
+    small = st.sampled_from([0, 1, 2, 3, INF])
+    u, v = (CorrClass(wide, wide, _matrix(data, wide, wide, small)) for _ in range(2))
+    results.append(compose(u, v))
     for result in results:
         _assert_checked(result)
+    for z in (x, y, u):
+        _assert_checked_ideal(right_support(z))
+        _assert_checked_ideal(left_kernel(z))
 
 
 def test_inverse_witnesses_are_checked():
