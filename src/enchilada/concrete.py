@@ -54,9 +54,9 @@ CLASSIFY_TOL = 1e-6
 VALIDATE_TOL = 1e-9
 # A tensor product whose Gram norm lies below this is the zero module.
 VANISH_TOL = 1e-9
-# Most complex entries, sum_i n_i^2 * sum_j d_j^2, that the unit-image arrays
-# of one action may hold together; larger correspondences are refused before
-# anything is allocated.
+# Most entries, sum_i n_i^2 * sum_j d_j^2, that the unit-image arrays of one
+# action may hold together, whatever their dtype; larger correspondences are
+# refused before anything is allocated.
 MAX_ACTION_ENTRIES = 2**24
 
 Element = tuple[np.ndarray, ...]
@@ -143,12 +143,30 @@ class ConcreteModule:
         )
 
 
+def _dtype(*arrays) -> type:
+    """float when every array holds real data (bool, integer or floating
+    dtype), complex otherwise.  A float64 array holds a real-valued complex
+    matrix exactly, so real actions skip complex arithmetic and the module
+    stays a complex module (see DECISIONS.md)."""
+    for arr in arrays:
+        if arr.dtype.kind not in "biuf":
+            return complex
+    return float
+
+
+def _unit_images(a) -> np.ndarray:
+    """A unit-image array as float64 when its data is real, complex128 otherwise."""
+    arr = np.asarray(a)
+    return arr.astype(_dtype(arr), copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class ConcreteCorr:
     """A concrete module plus a left action, stored as matrix-unit images.
 
     action[j][i] has shape (n_i, n_i, d_j, d_j): the image on fiber j of each
-    matrix unit of source block i.
+    matrix unit of source block i.  Each array is read-only, and its dtype
+    follows its data: float64 for a real array, complex128 for any other.
     """
 
     source: FdCStarAlgebra
@@ -156,7 +174,7 @@ class ConcreteCorr:
     action: tuple[tuple[np.ndarray, ...], ...]
 
     def __post_init__(self):
-        acts = tuple(tuple(np.asarray(a, dtype=complex) for a in per) for per in self.action)
+        acts = tuple(tuple(map(_unit_images, per)) for per in self.action)
         if len(acts) != self.module.target.block_count:
             raise ValidationError("one action table per target block required")
         for j, per in enumerate(acts):
@@ -180,10 +198,12 @@ class ConcreteCorr:
     def action_matrix(self, j: int, a: AlgebraElement) -> np.ndarray:
         """The operator on fiber j induced by an algebra element."""
         d = self.module.fiber_dims[j]
-        out = np.zeros(d * d, dtype=complex)
+        a = [np.asarray(ai) for ai in a]
+        dtype = _dtype(*a, *self.action[j])
+        out = np.zeros(d * d, dtype=dtype)
         for ai, arr in zip(a, self.action[j]):
             n = arr.shape[0]
-            out += np.asarray(ai, dtype=complex).reshape(n * n) @ arr.reshape(n * n, d * d)
+            out += np.asarray(ai, dtype=dtype).reshape(n * n) @ arr.reshape(n * n, d * d)
         return out.reshape(d, d)
 
     def apply(self, a: AlgebraElement, x) -> Element:
@@ -199,7 +219,8 @@ def _assemble(source: FdCStarAlgebra, target: FdCStarAlgebra, fibers) -> Concret
     e-dimensional representation on the diagonal; images maps a source block
     i to its unit images, shape (n_i, n_i, e, e), or to None for the identity
     representation of block i (e = n_i), and absent blocks act as zero.  The
-    total size of the action is checked before any allocation.
+    total size of the action is checked before any allocation.  The arrays
+    are float64 unless some image is complex.
     """
     dims = tuple(sum(e * mu for e, mu, _ in parts) for parts in fibers)
     entries = sum(n * n for n in source.blocks) * sum(d * d for d in dims)
@@ -208,9 +229,11 @@ def _assemble(source: FdCStarAlgebra, target: FdCStarAlgebra, fibers) -> Concret
             f"the unit-image arrays for fibers {dims} hold {entries} complex "
             f"entries, which exceeds {MAX_ACTION_ENTRIES}"
         )
+    given = (img for parts in fibers for *_, images in parts for img in images.values())
+    dtype = _dtype(*(img for img in given if img is not None))
     action = []
     for d, parts in zip(dims, fibers):
-        arrs = [np.zeros((n, n, d, d), dtype=complex) for n in source.blocks]
+        arrs = [np.zeros((n, n, d, d), dtype=dtype) for n in source.blocks]
         off = 0
         for e, mu, images in parts:
             if mu == 0:
@@ -278,7 +301,9 @@ def _adjoint_violation(x: ConcreteCorr) -> float:
     worst = 0.0
     for per in x.action:
         for arr in per:
-            diff = arr[0].conj().swapaxes(1, 2)
+            # np.conjugate allocates; a real array's .conj() is the read-only
+            # array itself, which the in-place subtraction would write into.
+            diff = np.conjugate(arr[0]).swapaxes(1, 2)
             diff -= arr[:, 0]
             worst = max(worst, _max_abs(diff))
     return worst
@@ -320,19 +345,15 @@ def _mult_violation_relations(x: ConcreteCorr) -> float:
 
 
 def _mult_violation_generic(x: ConcreteCorr) -> float:
-    # Two deterministic generic pairs: a failure of multiplicativity anywhere
-    # shows up against a generic pair with probability one.
+    # Two deterministic generic real pairs: the defect phi(ab) - phi(a)phi(b)
+    # is complex-bilinear and real matrices span M_n(C), so a failure of
+    # multiplicativity anywhere shows up against a real Gaussian pair with
+    # probability one (see DECISIONS.md), and a real action stays real.
     rng = np.random.default_rng(0x5EED)
     worst = 0.0
     for _ in range(2):
-        a = tuple(
-            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            for n in x.source.blocks
-        )
-        b = tuple(
-            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            for n in x.source.blocks
-        )
+        a = tuple(rng.standard_normal((n, n)) for n in x.source.blocks)
+        b = tuple(rng.standard_normal((n, n)) for n in x.source.blocks)
         ab = tuple(ai @ bi for ai, bi in zip(a, b))
         for j in range(x.target.block_count):
             lhs = x.action_matrix(j, a) @ x.action_matrix(j, b)
@@ -430,7 +451,10 @@ class InteriorTensor:
                     m * ey[l], m * ey[l]
                 )
                 r = (r + r.conj().T) / 2.0
-                lam, vec = np.linalg.eigh(r)
+                # The Hermitian solver even for a real R: the symmetric one
+                # rounds differently in the last bit (3.0000000000000004 for
+                # the 3.0 of a middle block M_3), and gram_norm is printed.
+                lam, vec = np.linalg.eigh(np.asarray(r, dtype=complex))
                 eigen[(l, j)] = (lam, vec)
                 if lam.size:
                     gram_max = max(gram_max, float(lam[-1]))

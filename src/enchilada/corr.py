@@ -140,8 +140,10 @@ def _total(terms) -> int | float:
 
 
 # The smallest r·k·s at which compose multiplies an r x k by a k x s matrix
-# through numpy; below it the Python loop is faster (see DECISIONS.md).
+# through numpy, and the smallest r·s: below either the Python loop is faster,
+# since numpy converts all (r + s)·k input entries (see DECISIONS.md).
 WIDE_COMPOSE_MIN = 216
+_WIDE_COMPOSE_MIN_RS = 16
 _FLOAT_EXACT = 2.0**53  # every int below it converts to float64 exactly
 _INT64_LIMIT = 2**63
 
@@ -180,7 +182,8 @@ def compose(x: CorrClass, y: CorrClass) -> CorrClass:
     The matrix is the cardinal product X.matrix * Y.matrix, where a term
     with a zero factor is skipped: that is the rule INF * 0 = 0.  Products
     of at least WIDE_COMPOSE_MIN terms go through numpy when every entry
-    and sum is exact there; both paths give the same rows.
+    and sum is exact there, unless the result has fewer than 16 entries;
+    both paths give the same rows.
     """
     if x.target != y.source:
         raise ValidationError(
@@ -189,7 +192,7 @@ def compose(x: CorrClass, y: CorrClass) -> CorrClass:
     r, k = x.shape
     s = y.target.block_count
     rows = None
-    if r * k * s >= WIDE_COMPOSE_MIN:
+    if r * s >= _WIDE_COMPOSE_MIN_RS and r * k * s >= WIDE_COMPOSE_MIN:
         rows = _wide_product(x.matrix, y.matrix, r, k, s)
     if rows is None:
         cols = _columns(y)

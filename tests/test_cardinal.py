@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import cardinal_reference as ref
 from cardinal_reference import Cardinal
 from enchilada import INF, CorrClass, ValidationError, card, compose, direct_sum, make_algebra
+from enchilada import corr
 from enchilada.corr import WIDE_COMPOSE_MIN, _wide_product
 
 cardinals = st.one_of(st.integers(0, 40).map(Cardinal), st.just(ref.INF))
@@ -141,14 +142,31 @@ def test_compose_matches_reference_on_both_sides_of_the_numpy_gate(data):
         (8, _int64_edge(8) - 1, _int64_edge(8) - 1, True),
         (8, _int64_edge(8), _int64_edge(8), False),  # 2**30 · 2**30 · 8 is 2**63 itself
         (8, 10**400, 1, False),     # beyond float range
+        # Shapes r x k x s that the size gate keeps on the loop: fewer than
+        # WIDE_COMPOSE_MIN terms, or thin, with fewer than 16 result entries.
+        pytest.param((5, 5, 5), 3, INF, False, id="5x5x5"),
+        pytest.param((1, 512, 1), 3, INF, False, id="1x512x1"),
+        pytest.param((1, 256, 2), 3, INF, False, id="1x256x2"),
+        pytest.param((3, 256, 5), 3, INF, False, id="3x256x5"),
+        pytest.param((1, 14, 16), 3, INF, True, id="1x14x16"),
+        pytest.param((16, 1, 16), 3, INF, True, id="16x1x16"),
     ],
 )
-def test_numpy_path_runs_exactly_when_its_arithmetic_is_exact(n, x_entry, y_entry, wide):
-    assert n**3 >= WIDE_COMPOSE_MIN
-    a = make_algebra([1] * n)
+def test_numpy_path_runs_exactly_when_its_arithmetic_is_exact(
+    monkeypatch, n, x_entry, y_entry, wide
+):
+    r, k, s = (n, n, n) if isinstance(n, int) else n
+    a, b, c = (make_algebra([1] * m) for m in (r, k, s))
     # Uniform rows make every sum as large as the entries allow.
-    x = CorrClass(a, a, [[x_entry] * n] * n)
-    y = CorrClass(a, a, [[y_entry] * n] * n)
-    assert (_wide_product(x.matrix, y.matrix, n, n, n) is not None) == wide
-    want = ref.to_entries(ref.compose(ref.from_entries(x.matrix), ref.from_entries(y.matrix), n))
+    x = CorrClass(a, b, [[x_entry] * k] * r)
+    y = CorrClass(b, c, [[y_entry] * s] * k)
+    products = []
+
+    def spy(*args):
+        products.append(_wide_product(*args))
+        return products[-1]
+
+    monkeypatch.setattr(corr, "_wide_product", spy)
+    want = ref.to_entries(ref.compose(ref.from_entries(x.matrix), ref.from_entries(y.matrix), s))
     assert compose(x, y).matrix == want
+    assert any(p is not None for p in products) == wide

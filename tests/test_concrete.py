@@ -9,6 +9,7 @@ from enchilada import (
     ValidationError,
     classify,
     compacts_span_defect,
+    compose,
     dual_concrete,
     enumerate_algebras,
     enumerate_corrs,
@@ -604,3 +605,116 @@ def test_norm_matches_zero_predicate():
             x = random_corr(rng, a, b)
         norm = interior_tensor_norm(realize(x), realize(y))
         assert (norm < 1e-9) == tensor_is_zero(x, y)
+
+
+def _cast(x, convert):
+    return ConcreteCorr(x.source, x.module, tuple(tuple(map(convert, per)) for per in x.action))
+
+
+def _as_complex(arr):
+    return arr.astype(complex)
+
+
+def _classify_outcome(x):
+    try:
+        return classify(x)
+    except ValidationError:
+        return ValidationError
+
+
+def _assert_same_verdicts(real, cplx):
+    assert _classify_outcome(real) == _classify_outcome(cplx)
+    got, want = validate(real), validate(cplx)
+    assert got.ok == want.ok
+    assert [c.name for c in got.checks] == [c.name for c in want.checks]
+    for g, w in zip(got.checks, want.checks):
+        assert abs(g.violation - w.violation) <= 1e-12
+
+
+def test_real_unit_images_match_their_complex_casts():
+    # The float64 path against the complex128 one on the same values: each
+    # perturbed realization as drawn (complex noise on some arrays, so the
+    # dtypes mix) and with its real part only, tensored with a realization.
+    rng = np.random.default_rng(41)
+    failing = 0
+    for _kind, x in _perturbed_realizations(42, cases=150):
+        y = realize(random_corr(rng, x.target, random_algebra(rng)))
+        for left in (x, _cast(x, np.real)):
+            cx, cy = _cast(left, _as_complex), _cast(y, _as_complex)
+            _assert_same_verdicts(left, cx)
+            failing += not validate(left).ok
+            t, ct = InteriorTensor(left, y), InteriorTensor(cx, cy)
+            assert [key for key, _ in t.gram_blocks] == [key for key, _ in ct.gram_blocks]
+            cut = concrete.GRAM_NULL_TOL * max(1.0, t.gram_norm)
+            ccut = concrete.GRAM_NULL_TOL * max(1.0, ct.gram_norm)
+            for (_, lam), (_, clam) in zip(t.gram_blocks, ct.gram_blocks):
+                assert np.allclose(lam, clam)
+                assert np.count_nonzero(lam > cut) == np.count_nonzero(clam > ccut)
+            assert t.corr.module == ct.corr.module
+            _assert_same_verdicts(t.corr, ct.corr)
+    assert failing > 50
+
+
+def test_real_unit_images_stay_float64_and_read_only():
+    k = CorrClass(make_algebra([1, 2]), make_algebra([2, 1]), ((1, 2), (0, 1)))
+    l = CorrClass(make_algebra([2, 1]), make_algebra([1, 3]), ((1, 1), (2, 0)))
+    x, y = realize(k), realize(l)
+    t = InteriorTensor(x, y)
+    for corr in (x, y, t.corr):
+        for arr in (arr for per in corr.action for arr in per):
+            assert arr.dtype == np.float64
+            assert not arr.flags.writeable
+        # validate's in-place residuals must not write through the read-only
+        # arrays (a real array's .conj() is the array itself).
+        assert validate(corr).ok
+    assert classify(t.corr) == compose(k, l)
+    # Integer input is real data; a complex cast stays complex even when its
+    # values are real.
+    ints = ConcreteCorr(
+        x.source, x.module, [[arr.astype(int).tolist() for arr in per] for per in x.action]
+    )
+    assert {arr.dtype for per in ints.action for arr in per} == {np.dtype(np.float64)}
+    cast = _cast(x, _as_complex)
+    assert {arr.dtype for per in cast.action for arr in per} == {np.dtype(np.complex128)}
+    # A complex perturbation stays complex128, and so does the tensor action
+    # built from it.
+    action = [list(per) for per in x.action]
+    action[0][1] = action[0][1] + 1e-3j
+    bumped = ConcreteCorr(x.source, x.module, tuple(map(tuple, action)))
+    assert bumped.action[0][1].dtype == np.complex128
+    assert bumped.action[0][0].dtype == np.float64
+    assert not validate(bumped).ok
+    tensor = InteriorTensor(bumped, y).corr
+    assert {arr.dtype for per in tensor.action for arr in per} == {np.dtype(np.complex128)}
+
+
+def _rotate(x, rng, orthogonal):
+    """x with every fiber conjugated by a random orthogonal or unitary matrix."""
+    action = []
+    for per, d in zip(x.action, x.module.fiber_dims):
+        g = rng.standard_normal((d, d))
+        if not orthogonal:
+            g = g + 1j * rng.standard_normal((d, d))
+        u, _ = np.linalg.qr(g)
+        action.append(tuple(u @ arr @ u.conj().T for arr in per))
+    return ConcreteCorr(x.source, x.module, tuple(action))
+
+
+@pytest.mark.parametrize("orthogonal", [True, False], ids=["orthogonal", "unitary"])
+def test_oracle_does_not_depend_on_the_fiber_basis(orthogonal):
+    # realize gives block-diagonal identity representations in block order;
+    # the same actions in a rotated basis (real for an orthogonal rotation,
+    # complex for a unitary one) must classify, tensor and validate alike.
+    rng = np.random.default_rng(43)
+    dtype = np.float64 if orthogonal else np.complex128
+    for _ in range(200):
+        a, b, c = (random_algebra(rng) for _ in range(3))
+        k, l = random_corr(rng, a, b), random_corr(rng, b, c)
+        x, y = _rotate(realize(k), rng, orthogonal), _rotate(realize(l), rng, orthogonal)
+        assert all(arr.dtype == dtype for corr in (x, y) for per in corr.action for arr in per)
+        assert classify(x) == k
+        assert classify(y) == l
+        t = InteriorTensor(x, y)
+        assert classify(t.corr) == compose(k, l)
+        for corr in (x, y, t.corr):
+            assert validate(corr).ok
