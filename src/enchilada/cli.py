@@ -38,6 +38,10 @@ from .exactness import check_sequence, check_short_exact
 from .jsonio import corr_from_json, corr_to_json, ideal_to_json, sequence_from_json
 from .quirks import GALLERY_NAMES, gallery
 
+# oracle-tensor prints gram_norm to this many significant digits: the last
+# bits of a top eigenvalue depend on the eigensolver (see DECISIONS.md).
+GRAM_NORM_DIGITS = 12
+
 RANK_TEST_CAVEAT = (
     "quantifies only over finite-entry test morphisms between "
     "finite-dimensional algebras; does not decide mono/epi status in the "
@@ -284,7 +288,7 @@ def _run_oracle_tensor(verb, obj, args):
         "symbolic": corr_to_json(symbolic),
         "numeric": corr_to_json(numeric),
         "match": match,
-        "gram_norm": tensor.gram_norm,
+        "gram_norm": float(f"{tensor.gram_norm:.{GRAM_NORM_DIGITS}g}"),
         "fiber_dims": list(tensor.corr.module.fiber_dims),
     }
     return (0 if match else 1), report, lambda: [

@@ -155,9 +155,13 @@ def _dtype(*arrays) -> type:
 
 
 def _unit_images(a) -> np.ndarray:
-    """A unit-image array as float64 when its data is real, complex128 otherwise."""
+    """A read-only copy of a unit-image array: float64 when its data is real,
+    complex128 otherwise.  The copy leaves the caller's array writable and
+    keeps later writes to it out of the stored action."""
     arr = np.asarray(a)
-    return arr.astype(_dtype(arr), copy=False)
+    arr = np.array(arr, dtype=_dtype(arr))
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,8 +169,9 @@ class ConcreteCorr:
     """A concrete module plus a left action, stored as matrix-unit images.
 
     action[j][i] has shape (n_i, n_i, d_j, d_j): the image on fiber j of each
-    matrix unit of source block i.  Each array is read-only, and its dtype
-    follows its data: float64 for a real array, complex128 for any other.
+    matrix unit of source block i.  Each array is a read-only copy of the one
+    given, and its dtype follows its data: float64 for a real array,
+    complex128 for any other.
     """
 
     source: FdCStarAlgebra
@@ -188,8 +193,16 @@ class ConcreteCorr:
                         f"unit images for block {i} on fiber {j} have shape "
                         f"{arr.shape}, expected {(n, n, d, d)}"
                     )
-                arr.setflags(write=False)
         object.__setattr__(self, "action", acts)
+
+    @classmethod
+    def _trusted(cls, source, module, action) -> ConcreteCorr:
+        """A correspondence from arrays of the right shapes that no caller
+        holds, already read-only; skips the copy and the checks in
+        __post_init__."""
+        x = object.__new__(cls)
+        x.__dict__.update(source=source, module=module, action=action)  # frozen only blocks setattr
+        return x
 
     @property
     def target(self) -> FdCStarAlgebra:
@@ -244,8 +257,10 @@ def _assemble(source: FdCStarAlgebra, target: FdCStarAlgebra, fibers) -> Concret
                     img = np.eye(e * e).reshape(e, e, e, e)
                 arrs[i][:, :, idx[:, :, None], idx[:, None, :]] = img[:, :, None]
             off += mu * e
+        for arr in arrs:
+            arr.setflags(write=False)
         action.append(tuple(arrs))
-    return ConcreteCorr(source, ConcreteModule(target, dims), tuple(action))
+    return ConcreteCorr._trusted(source, ConcreteModule(target, dims), tuple(action))
 
 
 def realize(kind: CorrClass) -> ConcreteCorr:
@@ -349,15 +364,33 @@ def _mult_violation_generic(x: ConcreteCorr) -> float:
     # is complex-bilinear and real matrices span M_n(C), so a failure of
     # multiplicativity anywhere shows up against a real Gaussian pair with
     # probability one (see DECISIONS.md), and a real action stays real.
+    # Both rounds go through one product per block and fiber: the rows of
+    # coef[i] are the block-i parts of a, a', b, b', ab and a'b', so row t of
+    # sum_i coef[i] @ units_i is phi of the t-th element on that fiber.  The
+    # residual is formed in place in its product.
     rng = np.random.default_rng(0x5EED)
-    worst = 0.0
+    blocks = x.source.blocks
+    a, b = [], []
     for _ in range(2):
-        a = tuple(rng.standard_normal((n, n)) for n in x.source.blocks)
-        b = tuple(rng.standard_normal((n, n)) for n in x.source.blocks)
-        ab = tuple(ai @ bi for ai, bi in zip(a, b))
-        for j in range(x.target.block_count):
-            lhs = x.action_matrix(j, a) @ x.action_matrix(j, b)
-            worst = max(worst, _max_abs(lhs - x.action_matrix(j, ab)))
+        a.append([rng.standard_normal((n, n)) for n in blocks])
+        b.append([rng.standard_normal((n, n)) for n in blocks])
+    coef = [
+        np.stack(
+            [a[0][i], a[1][i], b[0][i], b[1][i], a[0][i] @ b[0][i], a[1][i] @ b[1][i]]
+        ).reshape(6, n * n)
+        for i, n in enumerate(blocks)
+    ]
+    worst = 0.0
+    for per, d in zip(x.action, x.module.fiber_dims):
+        if d == 0:
+            continue
+        m = np.zeros((6, d * d), dtype=_dtype(*per))
+        for c, arr in zip(coef, per):
+            m += c @ arr.reshape(len(arr) ** 2, d * d)
+        m = m.reshape(6, d, d)
+        prod = m[0:2] @ m[2:4]
+        prod -= m[4:6]
+        worst = max(worst, _max_abs(prod))
     return worst
 
 
@@ -413,6 +446,41 @@ def classify(x: ConcreteCorr) -> CorrClass:
     return CorrClass._trusted(x.source, x.target, tuple(rows))
 
 
+def _gram_spectra(
+    x: ConcreteCorr, y: ConcreteCorr, null_tol: float
+) -> tuple[dict[tuple[int, int], tuple[np.ndarray, np.ndarray]], float, float]:
+    """The Gram blocks of x (x) y with their spectra, the norm and the cutoff.
+
+    Maps each (right fiber l, middle block j) with both fibers nonzero to R
+    and its ascending eigenvalues; R is the symmetrized action of the units
+    of middle block j on fiber l of y, float64 for a real action.  Returns
+    the largest eigenvalue (0.0 for no block) and the null cutoff
+    null_tol * max(1, norm), after checking positivity against that cutoff.
+    """
+    if x.target != y.source:
+        raise ValidationError(
+            f"cannot tensor: first ends at {x.target!r}, second starts at {y.source!r}"
+        )
+    dx, ey = x.module.fiber_dims, y.module.fiber_dims
+    spectra = {}
+    gram_norm = 0.0
+    for l, e in enumerate(ey):
+        for j, m in enumerate(x.target.blocks):
+            if e == 0 or dx[j] == 0:
+                continue
+            r = np.transpose(y.action[l][j], (0, 2, 1, 3)).reshape(m * e, m * e)
+            r = (r + r.conj().T) / 2.0
+            lam = np.linalg.eigvalsh(r)
+            spectra[(l, j)] = (r, lam)
+            if lam.size:
+                gram_norm = max(gram_norm, float(lam[-1]))
+    cut = null_tol * max(1.0, gram_norm)
+    for _r, lam in spectra.values():
+        if lam.size and float(lam[0]) < -cut:
+            raise ValidationError("tensor Gram form is not positive semidefinite")
+    return spectra, gram_norm, cut
+
+
 class InteriorTensor:
     """Balanced tensor product of composable concrete correspondences.
 
@@ -424,70 +492,55 @@ class InteriorTensor:
         identity (x) R (x) identity
 
     per (left fiber j, right fiber l) pair, where R collects the action of
-    the matrix units of middle block j on fiber l of the right factor.
-    Eigenvectors of R above the null cutoff give representatives of the
+    the matrix units of middle block j on fiber l of the right factor.  The
+    number mu of eigenvalues of R above the null cutoff is the multiplicity
+    of fiber j in fiber l of the quotient, so the tensor's action needs only
+    the spectra.  `embed` takes the top mu eigenvectors of each R, scaled by
+    the square roots of their eigenvalues, as representatives of the
     Hausdorff quotient that are orthonormal for the block-valued form, i.e.
-    the quotient lands directly in canonical fiber form.  The left action
-    passes through on the surviving coordinates.
+    the quotient lands directly in canonical fiber form; it computes them on
+    first use.  The left action passes through on the surviving coordinates.
     """
 
     def __init__(self, x: ConcreteCorr, y: ConcreteCorr, null_tol: float = GRAM_NULL_TOL):
-        if x.target != y.source:
-            raise ValidationError(
-                f"cannot tensor: first ends at {x.target!r}, second starts at {y.source!r}"
-            )
+        spectra, self.gram_norm, cut = _gram_spectra(x, y, null_tol)
         self._x, self._y = x, y
-        a, b, c = x.source, x.target, y.target
-        dx, ey = x.module.fiber_dims, y.module.fiber_dims
-
-        eigen: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        gram_max = 0.0
-        for l in range(c.block_count):
-            for j in range(b.block_count):
-                if ey[l] == 0 or dx[j] == 0:
-                    continue
-                m = b.blocks[j]
-                r = np.transpose(y.action[l][j], (0, 2, 1, 3)).reshape(
-                    m * ey[l], m * ey[l]
-                )
-                r = (r + r.conj().T) / 2.0
-                # The Hermitian solver even for a real R: the symmetric one
-                # rounds differently in the last bit (3.0000000000000004 for
-                # the 3.0 of a middle block M_3), and gram_norm is printed.
-                lam, vec = np.linalg.eigh(np.asarray(r, dtype=complex))
-                eigen[(l, j)] = (lam, vec)
-                if lam.size:
-                    gram_max = max(gram_max, float(lam[-1]))
-        cut = null_tol * max(1.0, gram_max)
-        for lam, _ in eigen.values():
-            if lam.size and float(lam[0]) < -cut:
-                raise ValidationError("tensor Gram form is not positive semidefinite")
-
-        self.gram_norm = gram_max
-        self.gram_blocks = tuple(
-            ((l, j), lam.copy()) for (l, j), (lam, _) in sorted(eigen.items())
-        )
+        self.gram_blocks = tuple((key, lam) for key, (_r, lam) in sorted(spectra.items()))
 
         layout: list[tuple[tuple[int, int, np.ndarray], ...]] = []
-        for l in range(c.block_count):
+        for l in range(y.target.block_count):
             parts = []
-            for j in range(b.block_count):
-                if (l, j) not in eigen:
+            for j in range(x.target.block_count):
+                if (l, j) not in spectra:
                     continue
-                lam, vec = eigen[(l, j)]
-                keep = lam > cut
-                mu = int(np.count_nonzero(keep))
-                if mu == 0:
-                    continue
-                w = vec[:, keep] * np.sqrt(lam[keep])
-                parts.append((j, mu, w))
+                r, lam = spectra[(l, j)]
+                mu = int(np.count_nonzero(lam > cut))
+                if mu:
+                    parts.append((j, mu, r))
             layout.append(tuple(parts))
         self._layout = tuple(layout)
+        self._weights = None
+        dx = x.module.fiber_dims
         fibers = [
-            [(dx[j], mu, dict(enumerate(x.action[j]))) for j, mu, _w in parts]
+            [(dx[j], mu, dict(enumerate(x.action[j]))) for j, mu, _r in parts]
             for parts in layout
         ]
-        self.corr = _assemble(a, c, fibers)
+        self.corr = _assemble(x.source, y.target, fibers)
+
+    def _weight_layout(self):
+        # Per kept (l, j): the top mu eigenvectors of R, ascending as eigh
+        # returns them, times the square roots of their eigenvalues.  Taking
+        # them by index keeps each shape equal to the fiber layout of corr.
+        if self._weights is None:
+            weights = []
+            for parts in self._layout:
+                kept = []
+                for j, mu, r in parts:
+                    lam, vec = np.linalg.eigh(r)
+                    kept.append((j, mu, vec[:, -mu:] * np.sqrt(lam[-mu:])))
+                weights.append(tuple(kept))
+            self._weights = tuple(weights)
+        return self._weights
 
     def embed(self, x_elt, y_elt) -> Element:
         """Image of the elementary tensor x (x) y in the quotient module.
@@ -499,7 +552,7 @@ class InteriorTensor:
         y_elt = self._y.module.as_element(y_elt)
         b, c = self._x.target, self._y.target
         out = []
-        for l, parts in enumerate(self._layout):
+        for l, parts in enumerate(self._weight_layout()):
             cl = c.blocks[l]
             rows = [np.zeros((0, cl), dtype=complex)]
             for j, mu, w in parts:
@@ -523,8 +576,9 @@ def interior_tensor_norm(x: ConcreteCorr, y: ConcreteCorr) -> float:
     """Largest eigenvalue of the scalarized Gram form of the tensor product.
 
     Lies below VANISH_TOL exactly when the tensor product is the zero module.
+    Reads the Gram spectra only; the tensor's action is not built.
     """
-    return InteriorTensor(x, y).gram_norm
+    return _gram_spectra(x, y, GRAM_NULL_TOL)[1]
 
 
 def is_isomorphic(x: ConcreteCorr, y: ConcreteCorr) -> bool:

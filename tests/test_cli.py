@@ -196,6 +196,29 @@ def test_oracle_tensor(capsys):
     assert report["fiber_dims"] == [6]
 
 
+def _class_json(source, target, matrix):
+    return {"source": {"blocks": source}, "target": {"blocks": target}, "matrix": matrix}
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (_class_json([1], [3], [[1]]), _class_json([3], [1], [[2]])),
+        (_class_json([1], [3], [[1]]), _class_json([3], [1], [[3]])),
+        (_class_json([2], [3], [[1]]), _class_json([3], [2], [[1]])),
+    ],
+    ids=["M3-2-copies", "M3-3-copies", "M2-M3-M2"],
+)
+def test_oracle_tensor_prints_gram_norm_to_twelve_digits(capsys, x, y):
+    # The top Gram eigenvalue is 3 (the trace of the unit of the middle block
+    # M_3); the symmetric and Hermitian solvers give 3.0, 3.0000000000000004
+    # or 3.000000000000001 here, and the report prints 3.0 for each.
+    code, out = run(capsys, "oracle-tensor", "--input", json.dumps({"x": x, "y": y}), "--json-only")
+    assert code == 0
+    assert '\n  "gram_norm": 3.0,\n' in out
+    assert enchilada.cli.GRAM_NORM_DIGITS == 12
+
+
 def test_oracle_tensor_rejects_inf(capsys):
     pair = {
         "x": {"source": {"blocks": [1]}, "target": {"blocks": [1]}, "matrix": [["inf"]]},

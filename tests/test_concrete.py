@@ -31,6 +31,7 @@ from enchilada import (
 )
 from enchilada import concrete
 from enchilada.concrete import ConcreteCorr, ConcreteModule
+from probe_reference import mult_violation_generic as reference_probe
 
 C1 = make_algebra([1])
 C2 = make_algebra([1, 1])
@@ -538,14 +539,32 @@ def test_left_inner_product_compatibility():
                     assert np.allclose(l, r, atol=1e-9)
 
 
-def test_balancing_in_quotient():
+def _count_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(r):
+        calls.append(r.shape)
+        return eigh(r)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
+
+
+def test_balancing_in_quotient(monkeypatch):
+    # Also counts eigh calls: none to build the tensor, one per kept Gram
+    # block over all four embeds of a pair.
+    calls = _count_eigh(monkeypatch)
+    solved = 0
     rng = np.random.default_rng(28)
     for _ in range(10):
         a, b, c = (random_algebra(rng, zero_prob=0.0) for _ in range(3))
         xk = random_corr(rng, a, b)
         yk = random_corr(rng, b, c)
         x, y = realize(xk), realize(yk)
+        calls.clear()
         t = InteriorTensor(x, y)
+        assert calls == []
         xe = x.module.random_element(rng)
         ye = y.module.random_element(rng)
         bb = tuple(
@@ -565,6 +584,10 @@ def test_balancing_in_quotient():
         rhs = t.corr.apply(aa, t.embed(xe, ye))
         for l, r in zip(lhs, rhs):
             assert np.abs(l - r).max(initial=0.0) < 1e-8
+        assert tuple(len(f) for f in lhs) == t.corr.module.fiber_dims
+        assert len(calls) == sum(len(parts) for parts in t._layout)
+        solved += len(calls)
+    assert solved >= 10
 
 
 def test_gram_positivity_and_quotient_dimension():
@@ -718,3 +741,133 @@ def test_oracle_does_not_depend_on_the_fiber_basis(orthogonal):
         assert classify(t.corr) == compose(k, l)
         for corr in (x, y, t.corr):
             assert validate(corr).ok
+
+
+def test_construction_copies_the_callers_arrays():
+    x = realize(CorrClass(M2, C2, ((1, 2),)))
+    a = np.array(x.action[0][0])
+    assert a.dtype == np.float64
+    kept = a.copy()
+    corr = ConcreteCorr(x.source, x.module, ((a,), (x.action[1][0],)))
+    assert a.flags.writeable
+    a[0, 0] += 5.0
+    assert np.array_equal(corr.action[0][0], kept)
+    assert not corr.action[0][0].flags.writeable
+    # The same for a complex128 array, which the dtype rule keeps as it is.
+    c = x.action[0][0].astype(complex)
+    corr = ConcreteCorr(x.source, x.module, ((c,), (x.action[1][0],)))
+    assert c.flags.writeable and corr.action[0][0] is not c
+    # realize and the tensor product hand over arrays that no caller holds,
+    # so they are stored without a copy.
+    y = realize(CorrClass(C2, C1, ((1,), (1,))))
+    for corr in (x, InteriorTensor(x, y).corr):
+        assert all(
+            arr.flags.owndata and not arr.flags.writeable
+            for per in corr.action
+            for arr in per
+        )
+
+
+def test_norm_reads_the_gram_spectra_only(monkeypatch):
+    # interior_tensor_norm and InteriorTensor share one spectrum helper: equal
+    # norms on the draws of random-check's zero-tensor suite, and the norm
+    # never assembles the tensor's action.
+    pairs = []
+
+    def spy(x, y):
+        norm = concrete.interior_tensor_norm(x, y)
+        assert norm == InteriorTensor(x, y).gram_norm
+        pairs.append(norm)
+        return norm
+
+    monkeypatch.setattr("enchilada.checks.interior_tensor_norm", spy)
+    for seed in (0, 7):
+        # run_random_checks gives the zero-tensor suite the fifth child seed.
+        child = np.random.SeedSequence(seed).spawn(5)[4]
+        assert suite_zero_tensor(np.random.default_rng(child), cases=100).ok
+    assert len(pairs) == 200
+    assert 50 < sum(norm < concrete.VANISH_TOL for norm in pairs) < 150
+    x, y = realize(CorrClass(C1, M2, ((2,),))), realize(CorrClass(M2, C2, ((1, 3),)))
+
+    def refuse(*args):
+        raise AssertionError("interior_tensor_norm assembled an action")
+
+    monkeypatch.setattr(concrete, "_assemble", refuse)
+    assert interior_tensor_norm(x, y) == 2.0
+
+
+def _embed_shapes(t, rng):
+    x, y = t._x, t._y
+    out = t.embed(x.module.random_element(rng), y.module.random_element(rng))
+    assert [f.shape for f in out] == [
+        (d, cl) for d, cl in zip(t.corr.module.fiber_dims, t.corr.target.blocks)
+    ]
+    return out
+
+
+def test_eigenvectors_only_on_first_embed(monkeypatch):
+    # The tensor's action needs only the Gram spectra; embed solves for the
+    # eigenvectors once per kept Gram block on its first call and reuses them.
+    calls = _count_eigh(monkeypatch)
+    rng = np.random.default_rng(44)
+    solved = 0
+    for _ in range(20):
+        a, b, c = (random_algebra(rng) for _ in range(3))
+        x = realize(random_corr(rng, a, b))
+        y = realize(random_corr(rng, b, c))
+        calls.clear()
+        t = InteriorTensor(x, y)
+        assert calls == []
+        _embed_shapes(t, rng)
+        kept = sum(len(parts) for parts in t._layout)
+        assert len(calls) == kept
+        _embed_shapes(t, rng)
+        assert len(calls) == kept
+        solved += kept
+    assert solved > 20
+
+
+def test_embed_keeps_an_eigenvalue_just_above_the_cut():
+    # One Gram block R = Q diag(1, 1.01 cut, 0.99 cut) Q^T: the middle
+    # eigenvalue is kept, the last dropped, and embed's fiber has the
+    # dimension of corr's.
+    cut = concrete.GRAM_NULL_TOL
+    q, _ = np.linalg.qr(np.random.default_rng(45).standard_normal((3, 3)))
+    r = q @ np.diag([1.0, 1.01 * cut, 0.99 * cut]) @ q.T
+    y = ConcreteCorr(C1, ConcreteModule(C1, (3,)), ((r.reshape(1, 1, 3, 3),),))
+    x = realize(CorrClass(C1, C1, ((2,),)))
+    t = InteriorTensor(x, y)
+    assert t.gram_norm == pytest.approx(1.0)
+    assert t.corr.module.fiber_dims == (4,)
+    out = _embed_shapes(t, np.random.default_rng(46))
+    assert out[0].shape == (4, 1)
+
+
+def test_stacked_probe_matches_the_per_fiber_reference():
+    # The same two generic pairs as the per-fiber reference, as one stacked
+    # product per fiber: every realization passes, and on 200 realizations
+    # with noise of scale 1e-13 to 1e-5 on one unit-image array, on both
+    # sides of VALIDATE_TOL, the violations agree up to rounding and so do
+    # the verdicts.
+    rng = np.random.default_rng(47)
+    verdicts = {True: 0, False: 0}
+    while sum(verdicts.values()) < 200:
+        a, b = random_algebra(rng), random_algebra(rng)
+        x = realize(random_corr(rng, a, b))
+        assert concrete._mult_violation_generic(x) <= concrete.VALIDATE_TOL
+        slots = [(j, i) for j, per in enumerate(x.action) for i, arr in enumerate(per) if arr.size]
+        if not slots:
+            continue
+        action = [list(per) for per in x.action]
+        j, i = slots[rng.integers(len(slots))]
+        noise = rng.standard_normal(action[j][i].shape)
+        if rng.random() < 0.5:
+            noise = noise + 1j * rng.standard_normal(noise.shape)
+        action[j][i] = action[j][i] + 10.0 ** rng.uniform(-13, -5) * noise
+        x = ConcreteCorr(x.source, x.module, tuple(map(tuple, action)))
+        got, want = concrete._mult_violation_generic(x), reference_probe(x)
+        assert abs(got - want) <= 1e-12
+        ok = got <= concrete.VALIDATE_TOL
+        assert ok == (want <= concrete.VALIDATE_TOL)
+        verdicts[ok] += 1
+    assert min(verdicts.values()) > 50
