@@ -239,7 +239,7 @@ def _assemble(source: FdCStarAlgebra, target: FdCStarAlgebra, fibers) -> Concret
     entries = sum(n * n for n in source.blocks) * sum(d * d for d in dims)
     if entries > MAX_ACTION_ENTRIES:
         raise ValidationError(
-            f"the unit-image arrays for fibers {dims} hold {entries} complex "
+            f"the unit-image arrays for fibers {dims} hold {entries} "
             f"entries, which exceeds {MAX_ACTION_ENTRIES}"
         )
     given = (img for parts in fibers for *_, images in parts for img in images.values())
@@ -251,11 +251,11 @@ def _assemble(source: FdCStarAlgebra, target: FdCStarAlgebra, fibers) -> Concret
         for e, mu, images in parts:
             if mu == 0:
                 continue
-            idx = off + np.arange(mu * e).reshape(mu, e)
             for i, img in images.items():
                 if img is None:
                     img = np.eye(e * e).reshape(e, e, e, e)
-                arrs[i][:, :, idx[:, :, None], idx[:, None, :]] = img[:, :, None]
+                for o in range(off, off + mu * e, e):
+                    arrs[i][:, :, o : o + e, o : o + e] = img
             off += mu * e
         for arr in arrs:
             arr.setflags(write=False)
@@ -310,66 +310,34 @@ class ValidationReport:
         }
 
 
-def _adjoint_violation(x: ConcreteCorr) -> float:
-    # e_{1p}^* = e_{p1} for every p; with multiplicativity this gives
-    # e_{pq}^* = (e_{p1} e_{1q})^* = e_{q1} e_{1p} = e_{qp} (see DECISIONS.md).
+def _mult_relations(per, units) -> float:
+    # e_{pq} = e_{p1} e_{1q}, e_{1p} e_{q1} = delta_{pq} e_{11} in each block and
+    # P_i P_k = 0 across blocks imply every product relation of the units on
+    # this fiber (see DECISIONS.md).  Residuals are formed in place.
     worst = 0.0
-    for per in x.action:
-        for arr in per:
-            # np.conjugate allocates; a real array's .conj() is the read-only
-            # array itself, which the in-place subtraction would write into.
-            diff = np.conjugate(arr[0]).swapaxes(1, 2)
-            diff -= arr[:, 0]
-            worst = max(worst, _max_abs(diff))
+    for arr in per:
+        prod = arr[:, :1] @ arr[:1]
+        prod -= arr
+        worst = max(worst, _max_abs(prod))
+        prod = arr[0][:, None] @ arr[:, 0][None]
+        prod[np.diag_indices(len(arr))] -= arr[0, 0]
+        worst = max(worst, _max_abs(prod))
+    for i, unit in enumerate(units):
+        prod = unit @ units
+        prod[i] = 0
+        worst = max(worst, _max_abs(prod))
     return worst
 
 
-def _nondegeneracy_violation(x: ConcreteCorr) -> float:
-    return max(
-        (
-            _max_abs(sum(arr.trace() for arr in per) - np.eye(d))
-            for per, d in zip(x.action, x.module.fiber_dims)
-            if d
-        ),
-        default=0.0,
-    )
-
-
-def _mult_violation_relations(x: ConcreteCorr) -> float:
-    # e_{pq} = e_{p1} e_{1q} and e_{1p} e_{q1} = delta_{pq} e_{11} in each block
-    # and P_i P_k = 0 across blocks, where P_i = sum_p e_pp is the trace over the
-    # unit indices, imply every product relation of the matrix units (see
-    # DECISIONS.md).  Each residual is formed in place in its product.
-    worst = 0.0
-    for per, d in zip(x.action, x.module.fiber_dims):
-        if d == 0 or not per:
-            continue
-        for arr in per:
-            prod = arr[:, :1] @ arr[:1]
-            prod -= arr
-            worst = max(worst, _max_abs(prod))
-            prod = arr[0][:, None] @ arr[:, 0][None]
-            prod[np.diag_indices(len(arr))] -= arr[0, 0]
-            worst = max(worst, _max_abs(prod))
-        units = np.stack([arr.trace() for arr in per])
-        for i, unit in enumerate(units):
-            prod = unit @ units
-            prod[i] = 0
-            worst = max(worst, _max_abs(prod))
-    return worst
-
-
-def _mult_violation_generic(x: ConcreteCorr) -> float:
-    # Two deterministic generic real pairs: the defect phi(ab) - phi(a)phi(b)
-    # is complex-bilinear and real matrices span M_n(C), so a failure of
-    # multiplicativity anywhere shows up against a real Gaussian pair with
-    # probability one (see DECISIONS.md), and a real action stays real.
-    # Both rounds go through one product per block and fiber: the rows of
-    # coef[i] are the block-i parts of a, a', b, b', ab and a'b', so row t of
-    # sum_i coef[i] @ units_i is phi of the t-th element on that fiber.  The
-    # residual is formed in place in its product.
+def _mult_generic(blocks: tuple[int, ...]):
+    # classify's per-fiber measure: two deterministic generic real pairs.  The
+    # defect phi(ab) - phi(a)phi(b) is complex-bilinear and real matrices span
+    # M_n(C), so a failure of multiplicativity shows up against a real Gaussian
+    # pair with probability one (see DECISIONS.md), and a real action stays
+    # real.  The rows of coef[i] are the block-i parts of a, a', b, b', ab and
+    # a'b', so row t of sum_i coef[i] @ per[i] is phi of the t-th element on
+    # the fiber: both rounds in one product per block.
     rng = np.random.default_rng(0x5EED)
-    blocks = x.source.blocks
     a, b = [], []
     for _ in range(2):
         a.append([rng.standard_normal((n, n)) for n in blocks])
@@ -380,25 +348,42 @@ def _mult_violation_generic(x: ConcreteCorr) -> float:
         ).reshape(6, n * n)
         for i, n in enumerate(blocks)
     ]
-    worst = 0.0
-    for per, d in zip(x.action, x.module.fiber_dims):
-        if d == 0:
-            continue
+
+    def measure(per, units) -> float:
+        d = units.shape[1]
         m = np.zeros((6, d * d), dtype=_dtype(*per))
         for c, arr in zip(coef, per):
             m += c @ arr.reshape(len(arr) ** 2, d * d)
         m = m.reshape(6, d, d)
         prod = m[0:2] @ m[2:4]
         prod -= m[4:6]
-        worst = max(worst, _max_abs(prod))
-    return worst
+        return _max_abs(prod)
+
+    return measure
 
 
-def _report(x: ConcreteCorr, multiplicativity: float) -> ValidationReport:
+def _report(x: ConcreteCorr, measure) -> ValidationReport:
+    # One pass over the nonzero fibers.  The block-unit images P_i (traces over
+    # the unit indices) are formed once: their sum gives nondegeneracy and
+    # measure(per, units) the multiplicativity.  Adjoints: e_{1p}^* = e_{p1},
+    # which with multiplicativity gives e_{pq}^* = e_{qp} (see DECISIONS.md).
+    mult = adjoint = nondegeneracy = 0.0
+    for per, d in zip(x.action, x.module.fiber_dims):
+        if d == 0:
+            continue
+        units = np.array([arr.trace() for arr in per]).reshape(len(per), d, d)
+        nondegeneracy = max(nondegeneracy, _max_abs(units.sum(axis=0) - np.eye(d)))
+        for arr in per:
+            # np.conjugate allocates; a real array's .conj() is the read-only
+            # array itself, which the in-place subtraction would write into.
+            diff = np.conjugate(arr[0]).swapaxes(1, 2)
+            diff -= arr[:, 0]
+            adjoint = max(adjoint, _max_abs(diff))
+        mult = max(mult, measure(per, units))
     checks = (
-        AxiomCheck("star-multiplicativity", multiplicativity),
-        AxiomCheck("star-adjoint", _adjoint_violation(x)),
-        AxiomCheck("nondegeneracy", _nondegeneracy_violation(x)),
+        AxiomCheck("star-multiplicativity", mult),
+        AxiomCheck("star-adjoint", adjoint),
+        AxiomCheck("nondegeneracy", nondegeneracy),
     )
     return ValidationReport(checks, VALIDATE_TOL)
 
@@ -413,7 +398,7 @@ def validate(x: ConcreteCorr) -> ValidationReport:
     An action passes when no violation exceeds VALIDATE_TOL; a zero module
     passes vacuously.
     """
-    return _report(x, _mult_violation_relations(x))
+    return _report(x, _mult_relations)
 
 
 def classify(x: ConcreteCorr) -> CorrClass:
@@ -425,7 +410,7 @@ def classify(x: ConcreteCorr) -> CorrClass:
     source block i; since that image is a projection, the rank is its trace,
     which must lie within CLASSIFY_TOL of an integer.
     """
-    report = _report(x, _mult_violation_generic(x))
+    report = _report(x, _mult_generic(x.source.blocks))
     if not report.ok:
         raise ValidationError(
             f"action fails validation: {report.failures()} "
@@ -505,26 +490,16 @@ class InteriorTensor:
     def __init__(self, x: ConcreteCorr, y: ConcreteCorr, null_tol: float = GRAM_NULL_TOL):
         spectra, self.gram_norm, cut = _gram_spectra(x, y, null_tol)
         self._x, self._y = x, y
-        self.gram_blocks = tuple((key, lam) for key, (_r, lam) in sorted(spectra.items()))
-
-        layout: list[tuple[tuple[int, int, np.ndarray], ...]] = []
-        for l in range(y.target.block_count):
-            parts = []
-            for j in range(x.target.block_count):
-                if (l, j) not in spectra:
-                    continue
-                r, lam = spectra[(l, j)]
-                mu = int(np.count_nonzero(lam > cut))
-                if mu:
-                    parts.append((j, mu, r))
-            layout.append(tuple(parts))
-        self._layout = tuple(layout)
+        self.gram_blocks = tuple((key, lam) for key, (_r, lam) in spectra.items())
+        # spectra is in (l, j) order, so each fiber's parts come in block order.
+        self._layout = tuple([] for _ in range(y.target.block_count))
         self._weights = None
-        dx = x.module.fiber_dims
-        fibers = [
-            [(dx[j], mu, dict(enumerate(x.action[j]))) for j, mu, _r in parts]
-            for parts in layout
-        ]
+        fibers = tuple([] for _ in self._layout)
+        for (l, j), (r, lam) in spectra.items():
+            mu = int(np.count_nonzero(lam > cut))
+            if mu:
+                self._layout[l].append((j, mu, r))
+                fibers[l].append((x.module.fiber_dims[j], mu, dict(enumerate(x.action[j]))))
         self.corr = _assemble(x.source, y.target, fibers)
 
     def _weight_layout(self):
@@ -618,32 +593,22 @@ def compacts_span_defect(x: ConcreteCorr) -> float:
     """How far the compacts sit from the range of the left action.
 
     Least-squares residual, over all basis pairs (u, v), of expressing
-    theta_{u,v} as the image of an algebra element.  Zero (within tolerance)
-    exactly when the class is a Hilbert bimodule; the solved coefficients
-    then define the left inner product via <x, y>_left = phi^{-1}(theta_{x,y}).
+    theta_{u,v} as the image of an algebra element.  These are the matrix
+    units of each fiber algebra M_{d_j} (theta_{u,v} = delta_{pq} E_{ab} for
+    u = E_{ap}, v = E_{bq}) or 0, so the targets are the identity of their sum.
+    Zero (within tolerance) exactly when the class is a Hilbert bimodule; the
+    solved coefficients then define the left inner product via
+    <x, y>_left = phi^{-1}(theta_{x,y}).
     """
     dims = x.module.fiber_dims
-    width = sum(d * d for d in dims)
-    if width == 0:
-        return 0.0
-    cols = []
-    for i, n in enumerate(x.source.blocks):
-        for p in range(n):
-            for q in range(n):
-                cols.append(
-                    np.concatenate([x.action[j][i][p, q].ravel() for j in range(len(dims))])
-                )
-    phi = np.stack(cols, axis=1) if cols else np.zeros((width, 0), dtype=complex)
-    basis = x.module.basis()
-    targets = np.stack(
+    eye = np.eye(sum(d * d for d in dims))
+    if not x.source.blocks:
+        return _max_abs(eye)
+    phi = np.concatenate(
         [
-            np.concatenate([t.ravel() for t in rank_one(u, v)])
-            for u in basis
-            for v in basis
-        ],
-        axis=1,
-    )
-    if phi.shape[1] == 0:
-        return _max_abs(targets)
-    sol, *_ = np.linalg.lstsq(phi, targets, rcond=None)
-    return _max_abs(phi @ sol - targets)
+            np.concatenate([per[i].reshape(n * n, d * d) for per, d in zip(x.action, dims)], axis=1)
+            for i, n in enumerate(x.source.blocks)
+        ]
+    ).T
+    sol, *_ = np.linalg.lstsq(phi, eye, rcond=None)
+    return _max_abs(phi @ sol - eye)

@@ -7,6 +7,7 @@ from enchilada import (
     CorrClass,
     InteriorTensor,
     ValidationError,
+    ZERO_ALGEBRA,
     classify,
     compacts_span_defect,
     compose,
@@ -31,6 +32,7 @@ from enchilada import (
 )
 from enchilada import concrete
 from enchilada.concrete import ConcreteCorr, ConcreteModule
+from compacts_reference import compacts_span_defect as reference_compacts
 from probe_reference import mult_violation_generic as reference_probe
 
 C1 = make_algebra([1])
@@ -181,6 +183,20 @@ def _mult_violation_loop(x):
     return worst
 
 
+def _generic_violation(x):
+    # classify's per-fiber multiplicativity measure, as its max over the
+    # nonzero fibers.
+    measure = concrete._mult_generic(x.source.blocks)
+    return max(
+        (
+            measure(per, np.array([arr.trace() for arr in per]).reshape(len(per), d, d))
+            for per, d in zip(x.action, x.module.fiber_dims)
+            if d
+        ),
+        default=0.0,
+    )
+
+
 def _assert_validators_bounded_by_loops(x):
     # validate measures the matrix-unit relations, not every product, so its
     # numbers are bounded by the loops' (DECISIONS.md): each relation residual
@@ -239,7 +255,7 @@ def test_classify_refuses_as_full_adjoint_report():
     for kind, x in _perturbed_realizations(32):
         full = concrete.ValidationReport(
             (
-                concrete.AxiomCheck("star-multiplicativity", concrete._mult_violation_generic(x)),
+                concrete.AxiomCheck("star-multiplicativity", _generic_violation(x)),
                 concrete.AxiomCheck("star-adjoint", _adjoint_violation_loop(x)),
                 concrete.AxiomCheck("nondegeneracy", _nondegeneracy_violation_loop(x)),
             ),
@@ -252,6 +268,27 @@ def test_classify_refuses_as_full_adjoint_report():
                 classify(x)
             refused += 1
     assert refused > 50
+
+
+def _zero_source():
+    # The zero algebra acting on a nonzero fiber: there are no unit images.
+    return ConcreteCorr(ZERO_ALGEBRA, ConcreteModule(M2, (3,)), ((),))
+
+
+def test_zero_source_on_a_nonzero_fiber_is_degenerate():
+    # The unit images sum to 0, not to the identity, so the action is
+    # degenerate by exactly 1; and no algebra element reaches the compacts.
+    x = _zero_source()
+    report = validate(x)
+    assert [(c.name, c.violation) for c in report.checks] == [
+        ("star-multiplicativity", 0.0),
+        ("star-adjoint", 0.0),
+        ("nondegeneracy", 1.0),
+    ]
+    assert report.failures() == ["nondegeneracy"]
+    with pytest.raises(ValidationError, match=r"action fails validation: \['nondegeneracy'\]"):
+        classify(x)
+    assert compacts_span_defect(x) == 1.0
 
 
 def test_validate_flags_broken_cross_block_product():
@@ -500,6 +537,30 @@ def test_hilbert_bimodule_oracle_agrees_with_matrix_criterion():
         for kind in enumerate_corrs(a, b, 2):
             numeric = compacts_span_defect(realize(kind)) < 1e-8
             assert numeric == is_hilbert_bimodule(kind), kind
+
+
+def test_compacts_defect_matches_the_rank_one_reference():
+    # Against rank_one on every pair of basis vectors: each class with entries
+    # at most 2 over the nonzero enumerated algebras, 100 of them unitarily
+    # rotated, and the zero source on a nonzero fiber.
+    rng = np.random.default_rng(49)
+    algebras = tuple(a for a in enumerate_algebras() if not a.is_zero)
+    cases = [
+        realize(kind)
+        for a, b in itertools.product(algebras, repeat=2)
+        for kind in enumerate_corrs(a, b, 2)
+    ]
+    assert len(cases) == 1452
+    picked = rng.choice(len(cases), size=100, replace=False)
+    cases += [_rotate(cases[i], rng, orthogonal=False) for i in picked]
+    cases.append(_zero_source())
+    verdicts = {True: 0, False: 0}
+    for x in cases:
+        got, want = compacts_span_defect(x), reference_compacts(x)
+        assert abs(got - want) <= 1e-12
+        assert (got < 1e-8) == (want < 1e-8)
+        verdicts[got < 1e-8] += 1
+    assert min(verdicts.values()) > 100
 
 
 def test_left_inner_product_compatibility():
@@ -768,6 +829,105 @@ def test_construction_copies_the_callers_arrays():
         )
 
 
+def _block_diagonal(mats, dtype):
+    # Each matrix padded with zeros to its place on the diagonal, so the
+    # reference shares no slicing with _assemble.
+    sizes = [len(m) for m in mats]
+    d = sum(sizes)
+    out = np.zeros((d, d), dtype=dtype)
+    for m, before in zip(mats, itertools.accumulate([0] + sizes)):
+        out = out + np.pad(m, (before, d - before - len(m)))
+    return out
+
+
+def _copy_major_action(source, fibers):
+    # fibers[l] lists parts (mu, per), per[i] the (n_i, n_i, e, e) images of
+    # block i: unit (p, q) of block i acts on fiber l as the block-diagonal sum
+    # of np.kron(np.eye(mu), per[i][p, q]) over the parts.  The arrays are
+    # complex when some image that enters is.
+    fibers = [[(mu, per) for mu, per in parts if mu and per[0].shape[2]] for parts in fibers]
+    images = (arr for parts in fibers for _, per in parts for arr in per)
+    dtype = np.result_type(np.float64, *images)
+    return tuple(
+        tuple(
+            np.array(
+                [
+                    [
+                        _block_diagonal(
+                            [np.kron(np.eye(mu), per[i][p, q]) for mu, per in parts], dtype
+                        )
+                        for q in range(n)
+                    ]
+                    for p in range(n)
+                ]
+            )
+            for i, n in enumerate(source.blocks)
+        )
+        for parts in fibers
+    )
+
+
+def _identity_images(source, k):
+    # Block k of source in its identity representation: unit (p, q) of block k
+    # acts as the matrix unit E_pq, every other block as zero.
+    n = source.blocks[k]
+    eye = np.eye(n)
+    return tuple(
+        np.array([[np.outer(eye[p], eye[q]) for q in range(n)] for p in range(n)])
+        if i == k
+        else np.zeros((m, m, n, n))
+        for i, m in enumerate(source.blocks)
+    )
+
+
+def _assert_action_equals(corr, reference):
+    assert len(corr.action) == len(reference)
+    for per, ref in zip(corr.action, reference):
+        assert len(per) == len(ref)
+        for arr, want in zip(per, ref):
+            assert arr.dtype == want.dtype
+            assert np.array_equal(arr, want)
+
+
+def test_assemble_places_copies_copy_major():
+    # realize(K) holds K[i][j] copies of block i on fiber j, in block order;
+    # the tensor with realize(L) holds L[j][l] copies of fiber j of the left
+    # factor on its fiber l, in block order, here also for a unitarily
+    # rotated (complex) left factor.
+    rng = np.random.default_rng(48)
+    zero_entries = zero_fibers = 0
+    for case in range(60):
+        a, b, c = (random_algebra(rng, zero_prob=0.0) for _ in range(3))
+        k, l = random_corr(rng, a, b), random_corr(rng, b, c)
+        x = realize(k)
+        _assert_action_equals(
+            x,
+            _copy_major_action(
+                a,
+                [
+                    [(k.matrix[i][j], _identity_images(a, i)) for i in range(a.block_count)]
+                    for j in range(b.block_count)
+                ],
+            ),
+        )
+        if case % 2:
+            x = _rotate(x, rng, orthogonal=False)
+        t = InteriorTensor(x, realize(l)).corr
+        _assert_action_equals(
+            t,
+            _copy_major_action(
+                a,
+                [
+                    [(l.matrix[j][m], x.action[j]) for j in range(b.block_count)]
+                    for m in range(c.block_count)
+                ],
+            ),
+        )
+        zero_entries += any(0 in row for row in k.matrix + l.matrix)
+        zero_fibers += 0 in x.module.fiber_dims + t.module.fiber_dims
+    assert zero_entries > 20 and zero_fibers > 10
+
+
 def test_norm_reads_the_gram_spectra_only(monkeypatch):
     # interior_tensor_norm and InteriorTensor share one spectrum helper: equal
     # norms on the draws of random-check's zero-tensor suite, and the norm
@@ -854,7 +1014,7 @@ def test_stacked_probe_matches_the_per_fiber_reference():
     while sum(verdicts.values()) < 200:
         a, b = random_algebra(rng), random_algebra(rng)
         x = realize(random_corr(rng, a, b))
-        assert concrete._mult_violation_generic(x) <= concrete.VALIDATE_TOL
+        assert _generic_violation(x) <= concrete.VALIDATE_TOL
         slots = [(j, i) for j, per in enumerate(x.action) for i, arr in enumerate(per) if arr.size]
         if not slots:
             continue
@@ -865,7 +1025,7 @@ def test_stacked_probe_matches_the_per_fiber_reference():
             noise = noise + 1j * rng.standard_normal(noise.shape)
         action[j][i] = action[j][i] + 10.0 ** rng.uniform(-13, -5) * noise
         x = ConcreteCorr(x.source, x.module, tuple(map(tuple, action)))
-        got, want = concrete._mult_violation_generic(x), reference_probe(x)
+        got, want = _generic_violation(x), reference_probe(x)
         assert abs(got - want) <= 1e-12
         ok = got <= concrete.VALIDATE_TOL
         assert ok == (want <= concrete.VALIDATE_TOL)
