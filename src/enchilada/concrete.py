@@ -14,6 +14,7 @@ cross-checked against floating-point reality instead of against itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -329,14 +330,16 @@ def _mult_relations(per, units) -> float:
     return worst
 
 
+@functools.lru_cache(maxsize=64)
 def _mult_generic(blocks: tuple[int, ...]):
-    # classify's per-fiber measure: two deterministic generic real pairs.  The
-    # defect phi(ab) - phi(a)phi(b) is complex-bilinear and real matrices span
-    # M_n(C), so a failure of multiplicativity shows up against a real Gaussian
-    # pair with probability one (see DECISIONS.md), and a real action stays
-    # real.  The rows of coef[i] are the block-i parts of a, a', b, b', ab and
-    # a'b', so row t of sum_i coef[i] @ per[i] is phi of the t-th element on
-    # the fiber: both rounds in one product per block.
+    # classify's per-fiber measure: two deterministic generic real pairs,
+    # drawn once per block tuple and cached read-only.  The defect
+    # phi(ab) - phi(a)phi(b) is complex-bilinear and real matrices span M_n(C),
+    # so a failure of multiplicativity shows up against a real Gaussian pair
+    # with probability one (see DECISIONS.md), and a real action stays real.
+    # The rows of coef[i] are the block-i parts of a, a', b, b', ab and a'b', so
+    # row t of sum_i coef[i] @ per[i] is phi of the t-th element on the fiber:
+    # both rounds in one product per block.
     rng = np.random.default_rng(0x5EED)
     a, b = [], []
     for _ in range(2):
@@ -348,6 +351,8 @@ def _mult_generic(blocks: tuple[int, ...]):
         ).reshape(6, n * n)
         for i, n in enumerate(blocks)
     ]
+    for c in coef:
+        c.setflags(write=False)
 
     def measure(per, units) -> float:
         d = units.shape[1]

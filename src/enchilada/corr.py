@@ -114,17 +114,21 @@ def _entry_text(v: int) -> str:
         return hex(v)
 
 
+def _block_map(source, target, cols) -> CorrClass:
+    """The class with row i the unit vector at column cols[i], zero if None."""
+    zero = (0,) * target.block_count
+    rows = tuple(zero if j is None else zero[:j] + (1,) + zero[j + 1 :] for j in cols)
+    return CorrClass._trusted(source, target, rows)
+
+
 def identity_corr(a: FdCStarAlgebra) -> CorrClass:
     """The identity morphism: the algebra acting on itself, identity matrix."""
-    r = a.block_count
-    rows = tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
-    return CorrClass._trusted(a, a, rows)
+    return _block_map(a, a, range(a.block_count))
 
 
 def zero_corr(a: FdCStarAlgebra, b: FdCStarAlgebra) -> CorrClass:
     """The zero morphism A -> B."""
-    rows = tuple(tuple(0 for _ in range(b.block_count)) for _ in range(a.block_count))
-    return CorrClass._trusted(a, b, rows)
+    return CorrClass._trusted(a, b, ((0,) * b.block_count,) * a.block_count)
 
 
 def _total(terms) -> int | float:
@@ -250,10 +254,7 @@ def tensor_is_zero(x: CorrClass, y: CorrClass) -> bool:
 
 def ideal_inclusion_corr(ideal: IdealRef) -> CorrClass:
     """The inclusion of an ideal as a correspondence from its algebra."""
-    members = ideal.sorted_members
-    s = ideal.parent.block_count
-    rows = tuple(tuple(1 if j == m else 0 for j in range(s)) for m in members)
-    return CorrClass._trusted(ideal.algebra, ideal.parent, rows)
+    return _block_map(ideal.algebra, ideal.parent, ideal.sorted_members)
 
 
 def quotient_corr(b: FdCStarAlgebra, ideal: IdealRef) -> CorrClass:
@@ -262,11 +263,7 @@ def quotient_corr(b: FdCStarAlgebra, ideal: IdealRef) -> CorrClass:
         raise ValidationError("ideal does not belong to this algebra")
     survivors = [j for j in range(b.block_count) if j not in ideal.members]
     col_of = {j: c for c, j in enumerate(survivors)}
-    rows = tuple(
-        tuple(1 if j in col_of and col_of[j] == c else 0 for c in range(len(survivors)))
-        for j in range(b.block_count)
-    )
-    return CorrClass._trusted(b, quotient(b, ideal), rows)
+    return _block_map(b, quotient(b, ideal), map(col_of.get, range(b.block_count)))
 
 
 def kernel(x: CorrClass) -> CorrClass:
@@ -367,9 +364,8 @@ def left_inverse(x: CorrClass) -> CorrClass | None:
     picks = _private_units(x.matrix, _columns(x))
     if picks is None:
         return None
-    r, s = x.shape
-    rows = tuple(tuple(1 if picks[i] == j else 0 for i in range(r)) for j in range(s))
-    return CorrClass._trusted(x.target, x.source, rows)
+    row_of = {j: i for i, j in enumerate(picks)}
+    return _block_map(x.target, x.source, map(row_of.get, range(x.target.block_count)))
 
 
 def right_inverse(x: CorrClass) -> CorrClass | None:
@@ -382,9 +378,7 @@ def right_inverse(x: CorrClass) -> CorrClass | None:
     picks = _private_units(_columns(x), x.matrix)
     if picks is None:
         return None
-    r, s = x.shape
-    rows = tuple(tuple(1 if picks[j] == i else 0 for i in range(r)) for j in range(s))
-    return CorrClass._trusted(x.target, x.source, rows)
+    return _block_map(x.target, x.source, picks)
 
 
 def is_split_mono(x: CorrClass) -> bool:
@@ -426,9 +420,7 @@ def dual(x: CorrClass) -> CorrClass:
     """
     if not is_hilbert_bimodule(x):
         raise ValidationError("dual is only defined for Hilbert bimodule classes")
-    r, s = x.shape
-    rows = tuple(tuple(x.matrix[i][j] for i in range(r)) for j in range(s))
-    return CorrClass._trusted(x.target, x.source, rows)
+    return CorrClass._trusted(x.target, x.source, _columns(x))
 
 
 def restrict_right(x: CorrClass, sub: IdealRef) -> CorrClass:

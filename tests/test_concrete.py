@@ -183,10 +183,10 @@ def _mult_violation_loop(x):
     return worst
 
 
-def _generic_violation(x):
+def _generic_violation(x, mult_generic=concrete._mult_generic):
     # classify's per-fiber multiplicativity measure, as its max over the
     # nonzero fibers.
-    measure = concrete._mult_generic(x.source.blocks)
+    measure = mult_generic(x.source.blocks)
     return max(
         (
             measure(per, np.array([arr.trace() for arr in per]).reshape(len(per), d, d))
@@ -1031,3 +1031,32 @@ def test_stacked_probe_matches_the_per_fiber_reference():
         assert ok == (want <= concrete.VALIDATE_TOL)
         verdicts[ok] += 1
     assert min(verdicts.values()) > 50
+
+
+def test_classify_draws_its_generic_pairs_once_per_source():
+    # The generic pairs depend only on the source blocks, so a bounded cache
+    # keeps them: a second classify on the same source is a cache hit with the
+    # same outcome, the cached coefficients are read-only, and the cached
+    # measure equals a fresh draw's to the bit and the per-fiber reference up
+    # to rounding, on realizations both with and without noise.
+    assert concrete._mult_generic.cache_info().maxsize == 64
+    nonzero = 0
+    for _kind, x in _perturbed_realizations(33, cases=60):
+        outcomes = []
+        for _ in range(2):
+            before = concrete._mult_generic.cache_info()
+            try:
+                outcomes.append(classify(x))
+            except ValidationError as err:
+                outcomes.append(str(err))
+        after = concrete._mult_generic.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert outcomes[0] == outcomes[1]
+        got = _generic_violation(x)
+        assert got == _generic_violation(x, concrete._mult_generic.__wrapped__)
+        assert abs(got - reference_probe(x)) <= 1e-12
+        nonzero += got > 0
+        measure = concrete._mult_generic(x.source.blocks)
+        cells = dict(zip(measure.__code__.co_freevars, measure.__closure__))
+        assert not any(c.flags.writeable for c in cells["coef"].cell_contents)
+    assert nonzero > 20

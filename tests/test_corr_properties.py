@@ -6,6 +6,7 @@ import numpy as np
 
 from enchilada import checks
 from enchilada import (
+    INF,
     CorrClass,
     FdCStarAlgebra,
     cokernel,
@@ -15,8 +16,10 @@ from enchilada import (
     enumerate_algebras,
     enumerate_chains,
     enumerate_corrs,
+    exact_at,
     ideal_inclusion_corr,
     identity_corr,
+    is_full,
     is_hilbert_bimodule,
     is_invertible,
     is_left_full_hilbert_bimodule,
@@ -26,6 +29,7 @@ from enchilada import (
     left_inverse,
     left_kernel,
     make_ideal,
+    phi_injective,
     quotient,
     quotient_corr,
     random_algebra,
@@ -221,6 +225,10 @@ def test_one_sided_inverses_bounded_search():
             )
             assert found == private, x
             assert found == is_split_mono(x), x
+            witness = left_inverse(x)
+            assert (witness is not None) == found, x
+            if found:
+                assert compose(x, witness) == ia, x
 
 
 def test_right_inverses_bounded_search():
@@ -240,6 +248,96 @@ def test_right_inverses_bounded_search():
             assert (witness is not None) == found, x
             if found:
                 assert compose(witness, x) == ib, x
+
+
+def _inf_table(a, b, top):
+    # enumerate_corrs(a, b, top) with the entry `top` read as INF.
+    return [
+        CorrClass(a, b, [[INF if v == top else v for v in row] for row in x.matrix])
+        for x in enumerate_corrs(a, b, top)
+    ]
+
+
+def test_one_sided_inverses_bounded_search_with_inf():
+    # X has entries in {0, 1, INF} and at least one INF.  Searching M over
+    # entries <= 1 is complete: if X * M = 1, every term X[i][k] * M[k][j]
+    # with both factors nonzero is 1, so the rows of M under nonzero columns
+    # of X are 0/1, and the other rows of M can be zeroed without changing
+    # X * M.  The mirror argument holds for M * X = 1.
+    algebras = enumerate_algebras()
+    classes = monos = epis = 0
+    for a, b in itertools.product(algebras, repeat=2):
+        ia, ib = identity_corr(a), identity_corr(b)
+        for x in _inf_table(a, b, 2):
+            if all(INF not in row for row in x.matrix):
+                continue
+            classes += 1
+            found = any(compose(x, m) == ia for m in enumerate_corrs(b, a, 1))
+            witness = left_inverse(x)
+            assert found == is_split_mono(x) == (witness is not None), x
+            if found:
+                assert compose(x, witness) == ia, x
+            monos += found
+            found = any(compose(m, x) == ib for m in enumerate_corrs(b, a, 1))
+            witness = right_inverse(x)
+            assert found == is_split_epi(x) == (witness is not None), x
+            if found:
+                assert compose(witness, x) == ib, x
+            epis += found
+    assert (classes, monos, epis) == (1124, 16, 16)
+
+
+def _pattern(x):
+    # The 0/1 pattern of a class: 1 wherever the entry is nonzero.
+    return CorrClass(x.source, x.target, [[int(bool(v)) for v in row] for row in x.matrix])
+
+
+def test_support_verdicts_depend_only_on_the_zero_pattern():
+    # Kernels, images and the support predicates read only which entries
+    # vanish, so {0, 1} tables speak for every entry, INF included (see
+    # DECISIONS.md).  The split and Hilbert-bimodule predicates read values
+    # and are not covered.
+    verdicts = (
+        kernel,
+        cokernel,
+        schubert_image,
+        schubert_coimage,
+        left_kernel,
+        right_support,
+        is_full,
+        phi_injective,
+    )
+    algebras = enumerate_algebras()
+    classes = 0
+    for a, b in itertools.product(algebras, repeat=2):
+        for x in _inf_table(a, b, 3):
+            p = _pattern(x)
+            for verdict in verdicts:
+                assert verdict(x) == verdict(p), (verdict.__name__, x)
+            classes += 1
+    assert classes == 4381
+
+
+def test_exact_at_depends_only_on_the_zero_pattern():
+    # A seeded sample of 3,000 of the composable pairs with entries in
+    # {0, 1, INF} over enumerate_algebras(), drawn uniformly by index.
+    algebras = enumerate_algebras()
+    tables = {(a, b): _inf_table(a, b, 2) for a, b in itertools.product(algebras, repeat=2)}
+    ends = list(itertools.product(algebras, repeat=3))
+    sizes = [len(tables[a, b]) * len(tables[b, c]) for a, b, c in ends]
+    offsets = np.cumsum(sizes)
+    assert offsets[-1] == 474343
+    picks = np.random.default_rng(5).choice(offsets[-1], size=3000, replace=False)
+    exact = 0
+    for n in picks.tolist():
+        k = int(np.searchsorted(offsets, n, side="right"))
+        a, b, c = ends[k]
+        q, r = divmod(n - (offsets[k] - sizes[k]), len(tables[b, c]))
+        x, y = tables[a, b][q], tables[b, c][r]
+        verdict = exact_at(x, y)
+        assert verdict == exact_at(_pattern(x), _pattern(y)), (x, y)
+        exact += verdict.exact
+    assert 0 < exact < 3000
 
 
 def test_diagonal_embedding_is_one_sided_invertible_but_not_hilbert_bimodule():
