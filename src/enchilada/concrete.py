@@ -330,13 +330,15 @@ def _mult_relations(per, units) -> float:
     return worst
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=128)
 def _mult_generic(blocks: tuple[int, ...]):
     # classify's per-fiber measure: two deterministic generic real pairs,
-    # drawn once per block tuple and cached read-only.  The defect
-    # phi(ab) - phi(a)phi(b) is complex-bilinear and real matrices span M_n(C),
-    # so a failure of multiplicativity shows up against a real Gaussian pair
-    # with probability one (see DECISIONS.md), and a real action stays real.
+    # drawn once per block tuple.  The cache holds all 84 tuples of at most 3
+    # blocks of size at most 4; an entry is 6 * sum(n * n) floats.  The
+    # defect phi(ab) - phi(a)phi(b) is complex-bilinear and real matrices span
+    # M_n(C), so a failure of multiplicativity shows up against a real
+    # Gaussian pair with probability one (see DECISIONS.md), and a real action
+    # stays real.
     # The rows of coef[i] are the block-i parts of a, a', b, b', ab and a'b', so
     # row t of sum_i coef[i] @ per[i] is phi of the t-th element on the fiber:
     # both rounds in one product per block.
@@ -351,8 +353,6 @@ def _mult_generic(blocks: tuple[int, ...]):
         ).reshape(6, n * n)
         for i, n in enumerate(blocks)
     ]
-    for c in coef:
-        c.setflags(write=False)
 
     def measure(per, units) -> float:
         d = units.shape[1]

@@ -1036,10 +1036,12 @@ def test_stacked_probe_matches_the_per_fiber_reference():
 def test_classify_draws_its_generic_pairs_once_per_source():
     # The generic pairs depend only on the source blocks, so a bounded cache
     # keeps them: a second classify on the same source is a cache hit with the
-    # same outcome, the cached coefficients are read-only, and the cached
-    # measure equals a fresh draw's to the bit and the per-fiber reference up
-    # to rounding, on realizations both with and without noise.
-    assert concrete._mult_generic.cache_info().maxsize == 64
+    # same outcome, and the cached measure equals a fresh draw's to the bit
+    # and the per-fiber reference up to rounding, on realizations both with
+    # and without noise.  The bound holds every tuple of at most 3 blocks of
+    # size at most 4, the sources of the numeric cross-check cases.
+    keys = {b for r in range(1, 4) for b in itertools.product(range(1, 5), repeat=r)}
+    assert concrete._mult_generic.cache_info().maxsize >= len(keys) == 84
     nonzero = 0
     for _kind, x in _perturbed_realizations(33, cases=60):
         outcomes = []
@@ -1056,7 +1058,4 @@ def test_classify_draws_its_generic_pairs_once_per_source():
         assert got == _generic_violation(x, concrete._mult_generic.__wrapped__)
         assert abs(got - reference_probe(x)) <= 1e-12
         nonzero += got > 0
-        measure = concrete._mult_generic(x.source.blocks)
-        cells = dict(zip(measure.__code__.co_freevars, measure.__closure__))
-        assert not any(c.flags.writeable for c in cells["coef"].cell_contents)
     assert nonzero > 20
