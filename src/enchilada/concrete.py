@@ -15,8 +15,10 @@ cross-checked against floating-point reality instead of against itself.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -155,24 +157,64 @@ def _dtype(*arrays) -> type:
     return float
 
 
-def _unit_images(a) -> np.ndarray:
-    """A read-only copy of a unit-image array: float64 when its data is real,
-    complex128 otherwise.  The copy leaves the caller's array writable and
-    keeps later writes to it out of the stored action."""
-    arr = np.asarray(a)
-    arr = np.array(arr, dtype=_dtype(arr))
-    arr.setflags(write=False)
-    return arr
+class _Plan:
+    """Fiber stack rows over a source with these blocks: unit (i, p, q) at
+    off[i] + p n_i + q.  `checks`, built when a nonzero fiber is first
+    checked, holds the axiom checks' read-only index arrays over those rows,
+    (r + 8) sum_i n_i^2 numbers at most.  _plan keeps one plan per block
+    tuple; its bound holds all 84 tuples of at most 3 blocks of size <= 4."""
+
+    def __init__(self, blocks: tuple[int, ...]):
+        self.blocks = blocks
+        self.off = list(itertools.accumulate((n * n for n in blocks), initial=0))
+
+    @functools.cached_property
+    def checks(self) -> SimpleNamespace:
+        blocks, sizes = self.blocks, np.diff(self.off)
+        base = np.repeat(np.array(self.off[:-1], dtype=int), sizes)
+        n = np.repeat(np.array(blocks, dtype=int), sizes)
+        unit = np.arange(len(n))
+        p, q = divmod(unit - base, n)
+        diag, first = p == q, p == 0
+        block = np.repeat(np.arange(len(blocks)), blocks)  # of each diagonal unit
+        sums = np.vstack([block == np.arange(len(blocks))[:, None], np.ones(len(block))])
+        order = np.argsort(~diag, kind="stable")  # the (R2) rows with a target first
+        pair_l, pair_r = np.nonzero(~np.eye(len(blocks), dtype=bool))
+        # classify's two generic real pairs (see DECISIONS.md): row t of
+        # coef @ stack is phi of the t-th of a, a', b, b', ab and a'b'.
+        rng = np.random.default_rng(0x5EED)
+        draws = zip(*([rng.standard_normal((m, m)) for m in blocks] for _ in range(4)))
+        coef = [np.reshape([a, a2, b, b2, a @ b, a2 @ b2], (6, -1)) for a, b, a2, b2 in draws]
+        coef = np.concatenate([np.zeros((6, 0)), *coef], axis=1)
+        checks = SimpleNamespace(
+            diag=unit[diag],
+            sums=sums,
+            row0=unit[first],
+            col0=(base + q * n)[first],
+            left=np.concatenate([base + p * n, (base + p)[order]]),
+            right=np.concatenate([base + q, (base + q * n)[order]]),
+            target=np.concatenate([unit, base[diag]]),
+            pair_l=pair_l,
+            pair_r=pair_r,
+            coef=coef,
+        )
+        for arr in vars(checks).values():
+            arr.setflags(write=False)
+        return checks
+
+
+_plan = functools.lru_cache(maxsize=128)(_Plan)
 
 
 @dataclass(frozen=True, eq=False)
 class ConcreteCorr:
     """A concrete module plus a left action, stored as matrix-unit images.
 
-    action[j][i] has shape (n_i, n_i, d_j, d_j): the image on fiber j of each
-    matrix unit of source block i.  Each array is a read-only copy of the one
-    given, and its dtype follows its data: float64 for a real array,
-    complex128 for any other.
+    Fiber j is one contiguous read-only (sum_i n_i^2, d_j, d_j) stack of the
+    images of all source matrix units, unit (i, p, q) at row off_i + p n_i + q,
+    and action[j][i] the read-only (n_i, n_i, d_j, d_j) view of block i's
+    rows.  The stack copies the arrays given; its dtype follows the fiber's
+    data: float64 when every array of the fiber is real, complex128 otherwise.
     """
 
     source: FdCStarAlgebra
@@ -180,30 +222,46 @@ class ConcreteCorr:
     action: tuple[tuple[np.ndarray, ...], ...]
 
     def __post_init__(self):
-        acts = tuple(tuple(map(_unit_images, per)) for per in self.action)
+        acts = tuple(tuple(map(np.asarray, per)) for per in self.action)
         if len(acts) != self.module.target.block_count:
             raise ValidationError("one action table per target block required")
+        blocks, off = self.source.blocks, _plan(self.source.blocks).off
+        stacks = []
         for j, per in enumerate(acts):
-            if len(per) != self.source.block_count:
+            if len(per) != len(blocks):
                 raise ValidationError("one unit-image array per source block required")
             d = self.module.fiber_dims[j]
-            for i, arr in enumerate(per):
-                n = self.source.blocks[i]
+            stack = np.empty((off[-1], d, d), dtype=_dtype(*per))
+            for i, (arr, n) in enumerate(zip(per, blocks)):
                 if arr.shape != (n, n, d, d):
                     raise ValidationError(
                         f"unit images for block {i} on fiber {j} have shape "
                         f"{arr.shape}, expected {(n, n, d, d)}"
                     )
-        object.__setattr__(self, "action", acts)
+                stack[off[i] : off[i + 1]] = arr.reshape(n * n, d, d)
+            stack.setflags(write=False)
+            stacks.append(stack)
+        self.__dict__["_stacks"] = tuple(stacks)
+        del self.__dict__["action"]  # the views are made on first use
 
     @classmethod
-    def _trusted(cls, source, module, action) -> ConcreteCorr:
-        """A correspondence from arrays of the right shapes that no caller
-        holds, already read-only; skips the copy and the checks in
-        __post_init__."""
+    def _trusted(cls, source, module, stacks) -> ConcreteCorr:
+        """A correspondence from read-only fiber stacks of the right shapes
+        that no caller holds; skips the copy and the checks in __post_init__."""
         x = object.__new__(cls)
-        x.__dict__.update(source=source, module=module, action=action)  # frozen only blocks setattr
+        x.__dict__.update(source=source, module=module, _stacks=stacks)
         return x
+
+    def __getattr__(self, name):
+        # Called only for attributes not set: action[j][i] is made on first
+        # use, as the (n_i, n_i, d_j, d_j) view of block i's rows in stack j.
+        if name != "action":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        off = _plan(self.source.blocks).off
+        rows = [(slice(off[i], off[i + 1]), (n, n)) for i, n in enumerate(self.source.blocks)]
+        views = tuple(tuple(s[r].reshape(k + s.shape[1:]) for r, k in rows) for s in self._stacks)
+        self.__dict__["action"] = views  # frozen only blocks setattr
+        return views
 
     @property
     def target(self) -> FdCStarAlgebra:
@@ -211,14 +269,11 @@ class ConcreteCorr:
 
     def action_matrix(self, j: int, a: AlgebraElement) -> np.ndarray:
         """The operator on fiber j induced by an algebra element."""
-        d = self.module.fiber_dims[j]
-        a = [np.asarray(ai) for ai in a]
-        dtype = _dtype(*a, *self.action[j])
-        out = np.zeros(d * d, dtype=dtype)
-        for ai, arr in zip(a, self.action[j]):
-            n = arr.shape[0]
-            out += np.asarray(ai, dtype=dtype).reshape(n * n) @ arr.reshape(n * n, d * d)
-        return out.reshape(d, d)
+        stack, d = self._stacks[j], self.module.fiber_dims[j]
+        # float64 when the element and the stack are real, as in _dtype.
+        flat = [np.asarray(ai).reshape(n * n) for ai, n in zip(a, self.source.blocks)]
+        flat = np.concatenate([np.zeros(0), *flat])
+        return (flat @ stack.reshape(len(stack), d * d)).reshape(d, d)
 
     def apply(self, a: AlgebraElement, x) -> Element:
         """Left action of an algebra element on a module element."""
@@ -229,39 +284,35 @@ class ConcreteCorr:
 def _assemble(source: FdCStarAlgebra, target: FdCStarAlgebra, fibers) -> ConcreteCorr:
     """The correspondence whose fiber l is the block-diagonal sum of fibers[l].
 
-    Each part (e, mu, images) of a fiber places mu copies, copy-major, of an
-    e-dimensional representation on the diagonal; images maps a source block
-    i to its unit images, shape (n_i, n_i, e, e), or to None for the identity
-    representation of block i (e = n_i), and absent blocks act as zero.  The
-    total size of the action is checked before any allocation.  The arrays
-    are float64 unless some image is complex.
+    Each part (e, mu, rows, img) of a fiber places mu copies, copy-major, of
+    an e-dimensional representation on the diagonal of the stack rows `rows`:
+    img holds their unit images, or is None for the identity representation
+    of the block at those rows (e = n_i); other rows act as zero.  The size
+    is checked before anything is allocated; each fiber is one zero stack,
+    float64 unless some image is complex, and each copy one slice assignment.
     """
-    dims = tuple(sum(e * mu for e, mu, _ in parts) for parts in fibers)
-    entries = sum(n * n for n in source.blocks) * sum(d * d for d in dims)
+    dims = tuple(sum(e * mu for e, mu, *_ in parts) for parts in fibers)
+    units = sum(n * n for n in source.blocks)
+    entries = units * sum(d * d for d in dims)
     if entries > MAX_ACTION_ENTRIES:
         raise ValidationError(
             f"the unit-image arrays for fibers {dims} hold {entries} "
             f"entries, which exceeds {MAX_ACTION_ENTRIES}"
         )
-    given = (img for parts in fibers for *_, images in parts for img in images.values())
-    dtype = _dtype(*(img for img in given if img is not None))
-    action = []
+    dtype = _dtype(*(img for parts in fibers for *_, img in parts if img is not None))
+    stacks = []
     for d, parts in zip(dims, fibers):
-        arrs = [np.zeros((n, n, d, d), dtype=dtype) for n in source.blocks]
-        off = 0
-        for e, mu, images in parts:
-            if mu == 0:
-                continue
-            for i, img in images.items():
-                if img is None:
-                    img = np.eye(e * e).reshape(e, e, e, e)
-                for o in range(off, off + mu * e, e):
-                    arrs[i][:, :, o : o + e, o : o + e] = img
-            off += mu * e
-        for arr in arrs:
-            arr.setflags(write=False)
-        action.append(tuple(arrs))
-    return ConcreteCorr._trusted(source, ConcreteModule(target, dims), tuple(action))
+        stack = np.zeros((units, d, d), dtype=dtype)
+        start = 0
+        for e, mu, rows, img in parts:
+            if img is None and mu:
+                img = np.eye(e * e).reshape(e * e, e, e)
+            for o in range(start, start + mu * e, e):
+                stack[rows, o : o + e, o : o + e] = img
+            start += mu * e
+        stack.setflags(write=False)
+        stacks.append(stack)
+    return ConcreteCorr._trusted(source, ConcreteModule(target, dims), tuple(stacks))
 
 
 def realize(kind: CorrClass) -> ConcreteCorr:
@@ -274,8 +325,9 @@ def realize(kind: CorrClass) -> ConcreteCorr:
     if not kind.all_finite:
         raise ValidationError("cannot realize a class with infinite multiplicities")
     a, b = kind.source, kind.target
+    off = _plan(a.blocks).off
     fibers = [
-        [(n, kind.matrix[i][j], {i: None}) for i, n in enumerate(a.blocks)]
+        [(n, kind.matrix[i][j], slice(off[i], off[i + 1]), None) for i, n in enumerate(a.blocks)]
         for j in range(b.block_count)
     ]
     return _assemble(a, b, fibers)
@@ -311,99 +363,76 @@ class ValidationReport:
         }
 
 
-def _mult_relations(per, units) -> float:
-    # e_{pq} = e_{p1} e_{1q}, e_{1p} e_{q1} = delta_{pq} e_{11} in each block and
-    # P_i P_k = 0 across blocks imply every product relation of the units on
-    # this fiber (see DECISIONS.md).  Residuals are formed in place.
-    worst = 0.0
-    for arr in per:
-        prod = arr[:, :1] @ arr[:1]
-        prod -= arr
-        worst = max(worst, _max_abs(prod))
-        prod = arr[0][:, None] @ arr[:, 0][None]
-        prod[np.diag_indices(len(arr))] -= arr[0, 0]
-        worst = max(worst, _max_abs(prod))
-    for i, unit in enumerate(units):
-        prod = unit @ units
-        prod[i] = 0
+# Most entries that a temporary of a gathered axiom product may hold.  These
+# products gather more rows than a stack has, so they go in chunks of rows.
+_CHUNK_ENTRIES = 2**20
+
+
+def _residual(a, left, right, target) -> float:
+    # The largest entry of a[left] @ a[right], less a[target] on the first
+    # len(target) rows, formed in chunks of rows.
+    worst, step = 0.0, max(1, _CHUNK_ENTRIES // a.shape[1] ** 2)
+    for s in range(0, len(left), step):
+        c = slice(s, s + step)
+        prod = a[left[c]] @ a[right[c]]
+        t = target[c]
+        prod[: len(t)] -= a[t]
         worst = max(worst, _max_abs(prod))
     return worst
 
 
-@functools.lru_cache(maxsize=128)
-def _mult_generic(blocks: tuple[int, ...]):
-    # classify's per-fiber measure: two deterministic generic real pairs,
-    # drawn once per block tuple.  The cache holds all 84 tuples of at most 3
-    # blocks of size at most 4; an entry is 6 * sum(n * n) floats.  The
-    # defect phi(ab) - phi(a)phi(b) is complex-bilinear and real matrices span
-    # M_n(C), so a failure of multiplicativity shows up against a real
-    # Gaussian pair with probability one (see DECISIONS.md), and a real action
-    # stays real.
-    # The rows of coef[i] are the block-i parts of a, a', b, b', ab and a'b', so
-    # row t of sum_i coef[i] @ per[i] is phi of the t-th element on the fiber:
-    # both rounds in one product per block.
-    rng = np.random.default_rng(0x5EED)
-    a, b = [], []
-    for _ in range(2):
-        a.append([rng.standard_normal((n, n)) for n in blocks])
-        b.append([rng.standard_normal((n, n)) for n in blocks])
-    coef = [
-        np.stack(
-            [a[0][i], a[1][i], b[0][i], b[1][i], a[0][i] @ b[0][i], a[1][i] @ b[1][i]]
-        ).reshape(6, n * n)
-        for i, n in enumerate(blocks)
-    ]
-
-    def measure(per, units) -> float:
-        d = units.shape[1]
-        m = np.zeros((6, d * d), dtype=_dtype(*per))
-        for c, arr in zip(coef, per):
-            m += c @ arr.reshape(len(arr) ** 2, d * d)
-        m = m.reshape(6, d, d)
-        prod = m[0:2] @ m[2:4]
-        prod -= m[4:6]
-        return _max_abs(prod)
-
-    return measure
+def _relations(checks, stack, units) -> float:
+    # (R1) e_pq = e_p1 e_1q and (R2) e_1p e_q1 = delta_pq e_11 in each block and
+    # (R3) P_i P_k = 0 across blocks imply every product relation (DECISIONS.md).
+    return max(
+        _residual(stack, checks.left, checks.right, checks.target),
+        _residual(units, checks.pair_l, checks.pair_r, checks.pair_l[:0]),
+    )
 
 
-def _report(x: ConcreteCorr, measure) -> ValidationReport:
-    # One pass over the nonzero fibers.  The block-unit images P_i (traces over
-    # the unit indices) are formed once: their sum gives nondegeneracy and
-    # measure(per, units) the multiplicativity.  Adjoints: e_{1p}^* = e_{p1},
-    # which with multiplicativity gives e_{pq}^* = e_{qp} (see DECISIONS.md).
+def _generic(checks, stack, units) -> float:
+    d = stack.shape[1]
+    m = (checks.coef @ stack.reshape(-1, d * d)).reshape(6, d, d)
+    prod = m[0:2] @ m[2:4]
+    prod -= m[4:6]
+    return _max_abs(prod)
+
+
+def _report(x: ConcreteCorr, measure, plan: _Plan) -> ValidationReport:
+    # A few batched products per nonzero fiber over the plan's index arrays: a
+    # summation product gives the block-unit images P_i and their sum, which is
+    # nondegeneracy; measure(checks, stack, units) the multiplicativity.  The
+    # adjoints e_{1p}^* = e_{p1} with it give e_{pq}^* = e_{qp} (DECISIONS.md).
     mult = adjoint = nondegeneracy = 0.0
-    for per, d in zip(x.action, x.module.fiber_dims):
+    for stack in x._stacks:
+        d = stack.shape[1]
         if d == 0:
             continue
-        units = np.array([arr.trace() for arr in per]).reshape(len(per), d, d)
-        nondegeneracy = max(nondegeneracy, _max_abs(units.sum(axis=0) - np.eye(d)))
-        for arr in per:
-            # np.conjugate allocates; a real array's .conj() is the read-only
-            # array itself, which the in-place subtraction would write into.
-            diff = np.conjugate(arr[0]).swapaxes(1, 2)
-            diff -= arr[:, 0]
-            adjoint = max(adjoint, _max_abs(diff))
-        mult = max(mult, measure(per, units))
-    checks = (
-        AxiomCheck("star-multiplicativity", mult),
-        AxiomCheck("star-adjoint", adjoint),
-        AxiomCheck("nondegeneracy", nondegeneracy),
-    )
-    return ValidationReport(checks, VALIDATE_TOL)
+        checks = plan.checks
+        sums = checks.sums @ stack[checks.diag].reshape(-1, d * d)
+        sums[-1, :: d + 1] -= 1.0
+        nondegeneracy = max(nondegeneracy, _max_abs(sums[-1]))
+        # A gather is a copy, so the residual can be formed in place.
+        diff = stack[checks.col0]
+        diff -= stack[checks.row0].conj().swapaxes(1, 2)
+        adjoint = max(adjoint, _max_abs(diff))
+        mult = max(mult, measure(checks, stack, sums[:-1].reshape(-1, d, d)))
+    names = ("star-multiplicativity", "star-adjoint", "nondegeneracy")
+    checks = map(AxiomCheck, names, (mult, adjoint, nondegeneracy))
+    return ValidationReport(tuple(checks), VALIDATE_TOL)
 
 
 def validate(x: ConcreteCorr) -> ValidationReport:
     """Measure every action axiom through relations that imply it.
 
     Multiplicativity: e_{pq} = e_{p1} e_{1q} and e_{1p} e_{q1} = delta_{pq} e_{11}
-    in each block, and P_i P_k = 0 for the images of distinct block units, in
-    2 sum_i n_i^2 + r^2 products per fiber.  Adjoints: e_{1p}^* = e_{p1}.
-    Nondegeneracy: unit images summing to the identity on each nonzero fiber.
-    An action passes when no violation exceeds VALIDATE_TOL; a zero module
-    passes vacuously.
+    in each block, and P_i P_k = 0 for the images of distinct block units:
+    2 sum_i n_i^2 + r(r - 1) products per fiber, gathered in bounded chunks.
+    Adjoints: e_{1p}^* = e_{p1}.  Nondegeneracy: unit images summing to the
+    identity on each nonzero fiber.  An action passes when no violation
+    exceeds VALIDATE_TOL; a zero module passes vacuously.
     """
-    return _report(x, _mult_relations)
+    return _report(x, _relations, _plan(x.source.blocks))
 
 
 def classify(x: ConcreteCorr) -> CorrClass:
@@ -415,23 +444,23 @@ def classify(x: ConcreteCorr) -> CorrClass:
     source block i; since that image is a projection, the rank is its trace,
     which must lie within CLASSIFY_TOL of an integer.
     """
-    report = _report(x, _mult_generic(x.source.blocks))
+    plan = _plan(x.source.blocks)
+    report = _report(x, _generic, plan)
     if not report.ok:
         raise ValidationError(
             f"action fails validation: {report.failures()} "
             f"(max violation {report.max_violation:.3e})"
         )
+    traces = [stack[plan.off[:-1]].trace(axis1=1, axis2=2).tolist() for stack in x._stacks]
     rows = []
     for i in range(x.source.block_count):
         row = []
-        for j in range(x.target.block_count):
-            t = complex(np.trace(x.action[j][i][0, 0]))
+        for j, tr in enumerate(traces):
+            t = complex(tr[i])
             k = round(t.real)
             if abs(t.imag) > CLASSIFY_TOL or abs(t.real - k) > CLASSIFY_TOL or k < 0:
-                raise ValidationError(
-                    f"projection trace {t} on fiber {j} is not a multiplicity"
-                )
-            row.append(int(k))
+                raise ValidationError(f"projection trace {t} on fiber {j} is not a multiplicity")
+            row.append(k)
         rows.append(tuple(row))
     return CorrClass._trusted(x.source, x.target, tuple(rows))
 
@@ -452,13 +481,15 @@ def _gram_spectra(
             f"cannot tensor: first ends at {x.target!r}, second starts at {y.source!r}"
         )
     dx, ey = x.module.fiber_dims, y.module.fiber_dims
+    off = _plan(y.source.blocks).off
     spectra = {}
     gram_norm = 0.0
     for l, e in enumerate(ey):
         for j, m in enumerate(x.target.blocks):
             if e == 0 or dx[j] == 0:
                 continue
-            r = np.transpose(y.action[l][j], (0, 2, 1, 3)).reshape(m * e, m * e)
+            r = y._stacks[l][off[j] : off[j + 1]].reshape(m, m, e, e).swapaxes(1, 2)
+            r = r.reshape(m * e, m * e)
             r = (r + r.conj().T) / 2.0
             lam = np.linalg.eigvalsh(r)
             spectra[(l, j)] = (r, lam)
@@ -504,7 +535,7 @@ class InteriorTensor:
             mu = int(np.count_nonzero(lam > cut))
             if mu:
                 self._layout[l].append((j, mu, r))
-                fibers[l].append((x.module.fiber_dims[j], mu, dict(enumerate(x.action[j]))))
+                fibers[l].append((x.module.fiber_dims[j], mu, slice(None), x._stacks[j]))
         self.corr = _assemble(x.source, y.target, fibers)
 
     def _weight_layout(self):
@@ -609,11 +640,6 @@ def compacts_span_defect(x: ConcreteCorr) -> float:
     eye = np.eye(sum(d * d for d in dims))
     if not x.source.blocks:
         return _max_abs(eye)
-    phi = np.concatenate(
-        [
-            np.concatenate([per[i].reshape(n * n, d * d) for per, d in zip(x.action, dims)], axis=1)
-            for i, n in enumerate(x.source.blocks)
-        ]
-    ).T
+    phi = np.concatenate([s.reshape(len(s), d * d) for s, d in zip(x._stacks, dims)], axis=1).T
     sol, *_ = np.linalg.lstsq(phi, eye, rcond=None)
     return _max_abs(phi @ sol - eye)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,80 @@ def test_action_cap_precedes_identity_images():
         realize(CorrClass(big, C1, ((1,),)))
 
 
+def _traced_peak(fn, *args):
+    # The most memory fn allocated at once, beyond what existed before.
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_zero_fibers_build_no_plan_and_no_identity_image():
+    # A 1000 x 1000 block has 10^6 units and 10^12 identity-image entries.
+    # With only zero fibers, realize, validate and classify need the block
+    # offsets alone: neither the plan's index arrays nor an identity image.
+    big = make_algebra([1000])
+    kind = CorrClass(big, C1, ((0,),))
+    x, peak = _traced_peak(realize, kind)
+    assert x.action[0][0].shape == (1000, 1000, 0, 0)
+    report, validate_peak = _traced_peak(validate, x)
+    got, classify_peak = _traced_peak(classify, x)
+    assert report.ok and got == kind
+    assert max(peak, validate_peak, classify_peak) < 100_000
+    assert "checks" not in vars(concrete._plan(big.blocks))
+
+
+def test_validate_memory_stays_near_its_input():
+    # M_4 + M_4 -> C with k = (64, 64): a 512-dimensional fiber and 67 MB of
+    # action, near MAX_ACTION_ENTRIES.  The gathered products go in chunks,
+    # so validate's peak stays below the 79.7 MB that the per-block loop it
+    # replaced allocated here; one unchunked gather would take about 424 MB.
+    x = realize(CorrClass(make_algebra([4, 4]), C1, ((64,), (64,))))
+    assert sum(arr.nbytes for arr in x._stacks) == 32 * 512 * 512 * 8
+    report, peak = _traced_peak(validate, x)
+    assert report.ok
+    assert peak <= 79.7e6
+
+
+def test_chunked_products_match_one_chunk(monkeypatch):
+    # M_4 + M_4 -> C with k = (32, 32): 64 relation rows of 256 x 256, so the
+    # default budget takes four chunks.  The report matches the exhaustive
+    # loops on the realization, and on a perturbed copy it is the same for
+    # one row per chunk, the default and a single chunk.
+    x = realize(CorrClass(make_algebra([4, 4]), C1, ((32,), (32,))))
+    assert x.module.fiber_dims == (256,)
+    assert 2 * 32 * 256**2 == 4 * concrete._CHUNK_ENTRIES
+    assert _assert_validators_bounded_by_loops(x).ok
+    rng = np.random.default_rng(50)
+    action = [list(per) for per in x.action]
+    noise = rng.standard_normal(action[0][1].shape) + 1j * rng.standard_normal(action[0][1].shape)
+    action[0][1] = action[0][1] + 1e-6 * noise
+    bumped = ConcreteCorr(x.source, x.module, tuple(map(tuple, action)))
+    reports = []
+    for budget in (1, concrete._CHUNK_ENTRIES, 2**40):
+        monkeypatch.setattr(concrete, "_CHUNK_ENTRIES", budget)
+        reports.append([(c.name, c.violation) for c in validate(bumped).checks])
+    assert reports[0] == reports[1] == reports[2]
+    assert all(v > concrete.VALIDATE_TOL for _, v in reports[0][:2])
+    # M_3 + M_2 -> C in chunks of three rows: a change to any one unit image
+    # reads as it does in one chunk, so no relation row falls between chunks.
+    x = realize(CorrClass(make_algebra([3, 2]), C1, ((1,), (1,))))
+    for i, n in enumerate(x.source.blocks):
+        for p, q in itertools.product(range(n), repeat=2):
+            action = [list(per) for per in x.action]
+            action[0][i] = action[0][i].copy()
+            action[0][i][p, q] += 1e-3 * rng.standard_normal((5, 5))
+            bumped = ConcreteCorr(x.source, x.module, tuple(map(tuple, action)))
+            reports = []
+            for budget in (3 * 5 * 5, 2**40):
+                monkeypatch.setattr(concrete, "_CHUNK_ENTRIES", budget)
+                reports.append([(c.name, c.violation) for c in validate(bumped).checks])
+            assert reports[0] == reports[1]
+            assert reports[0][0][1] > concrete.VALIDATE_TOL
+
+
 def test_validate_realizations_pass():
     rng = np.random.default_rng(21)
     for _ in range(15):
@@ -183,16 +258,12 @@ def _mult_violation_loop(x):
     return worst
 
 
-def _generic_violation(x, mult_generic=concrete._mult_generic):
+def _generic_violation(x, plan=concrete._plan):
     # classify's per-fiber multiplicativity measure, as its max over the
-    # nonzero fibers.
-    measure = mult_generic(x.source.blocks)
+    # nonzero fibers, with the generic pairs of plan(x.source.blocks).
+    checks = plan(x.source.blocks).checks
     return max(
-        (
-            measure(per, np.array([arr.trace() for arr in per]).reshape(len(per), d, d))
-            for per, d in zip(x.action, x.module.fiber_dims)
-            if d
-        ),
+        (concrete._generic(checks, stack, None) for stack in x._stacks if stack.shape[1]),
         default=0.0,
     )
 
@@ -303,6 +374,22 @@ def test_validate_flags_broken_cross_block_product():
     assert "star-adjoint" not in report.failures()
     with pytest.raises(ValidationError):
         classify(broken)
+
+
+def test_cross_block_products_group_units_by_block():
+    # M_2 + C on C^3: block 0 by E_pq on the first two coordinates, block 1
+    # by the projection onto v = (0, 1, 1) / sqrt 2.  Only P_0 P_1 breaks,
+    # with largest entry 1/2; grouping the diagonal units e_11 of block 0 and
+    # e_00 of block 1 together would hide it.
+    v = np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
+    block0 = np.zeros((2, 2, 3, 3))
+    for p, q in itertools.product(range(2), repeat=2):
+        block0[p, q, p, q] = 1.0
+    images = (block0, np.outer(v, v)[None, None])
+    x = ConcreteCorr(make_algebra([2, 1]), ConcreteModule(C1, (3,)), (images,))
+    got = {c.name: c.violation for c in validate(x).checks}
+    assert got["star-multiplicativity"] == pytest.approx(0.5)
+    assert got["star-adjoint"] == 0.0
 
 
 def _with_images(x, j, i, arr):
@@ -760,13 +847,14 @@ def test_real_unit_images_stay_float64_and_read_only():
     assert {arr.dtype for per in ints.action for arr in per} == {np.dtype(np.float64)}
     cast = _cast(x, _as_complex)
     assert {arr.dtype for per in cast.action for arr in per} == {np.dtype(np.complex128)}
-    # A complex perturbation stays complex128, and so does the tensor action
-    # built from it.
+    # A complex perturbation makes its fiber complex128, the real block next
+    # to it included, while the other fiber stays float64; the tensor action
+    # built from it is complex128 too.
     action = [list(per) for per in x.action]
     action[0][1] = action[0][1] + 1e-3j
     bumped = ConcreteCorr(x.source, x.module, tuple(map(tuple, action)))
-    assert bumped.action[0][1].dtype == np.complex128
-    assert bumped.action[0][0].dtype == np.float64
+    assert {arr.dtype for arr in bumped.action[0]} == {np.dtype(np.complex128)}
+    assert {arr.dtype for arr in bumped.action[1]} == {np.dtype(np.float64)}
     assert not validate(bumped).ok
     tensor = InteriorTensor(bumped, y).corr
     assert {arr.dtype for per in tensor.action for arr in per} == {np.dtype(np.complex128)}
@@ -819,12 +907,13 @@ def test_construction_copies_the_callers_arrays():
     corr = ConcreteCorr(x.source, x.module, ((c,), (x.action[1][0],)))
     assert c.flags.writeable and corr.action[0][0] is not c
     # realize and the tensor product hand over arrays that no caller holds,
-    # so they are stored without a copy.
+    # so they are stored without a copy: each view's base is its fiber's
+    # stack, which owns its data and is read-only.
     y = realize(CorrClass(C2, C1, ((1,), (1,))))
     for corr in (x, InteriorTensor(x, y).corr):
         assert all(
-            arr.flags.owndata and not arr.flags.writeable
-            for per in corr.action
+            arr.base is stack and stack.flags.owndata and not stack.flags.writeable
+            for per, stack in zip(corr.action, corr._stacks)
             for arr in per
         )
 
@@ -1041,21 +1130,21 @@ def test_classify_draws_its_generic_pairs_once_per_source():
     # and without noise.  The bound holds every tuple of at most 3 blocks of
     # size at most 4, the sources of the numeric cross-check cases.
     keys = {b for r in range(1, 4) for b in itertools.product(range(1, 5), repeat=r)}
-    assert concrete._mult_generic.cache_info().maxsize >= len(keys) == 84
+    assert concrete._plan.cache_info().maxsize >= len(keys) == 84
     nonzero = 0
     for _kind, x in _perturbed_realizations(33, cases=60):
         outcomes = []
         for _ in range(2):
-            before = concrete._mult_generic.cache_info()
+            before = concrete._plan.cache_info()
             try:
                 outcomes.append(classify(x))
             except ValidationError as err:
                 outcomes.append(str(err))
-        after = concrete._mult_generic.cache_info()
+        after = concrete._plan.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
         assert outcomes[0] == outcomes[1]
         got = _generic_violation(x)
-        assert got == _generic_violation(x, concrete._mult_generic.__wrapped__)
+        assert got == _generic_violation(x, concrete._plan.__wrapped__)
         assert abs(got - reference_probe(x)) <= 1e-12
         nonzero += got > 0
     assert nonzero > 20
