@@ -292,8 +292,8 @@ def _assemble(source: FdCStarAlgebra, target: FdCStarAlgebra, fibers) -> Concret
     float64 unless some image is complex, and each copy one slice assignment.
     """
     dims = tuple(sum(e * mu for e, mu, *_ in parts) for parts in fibers)
-    units = sum(n * n for n in source.blocks)
-    entries = units * sum(d * d for d in dims)
+    n_units = sum(n * n for n in source.blocks)
+    entries = n_units * sum(d * d for d in dims)
     if entries > MAX_ACTION_ENTRIES:
         raise ValidationError(
             f"the unit-image arrays for fibers {dims} hold {entries} "
@@ -302,7 +302,7 @@ def _assemble(source: FdCStarAlgebra, target: FdCStarAlgebra, fibers) -> Concret
     dtype = _dtype(*(img for parts in fibers for *_, img in parts if img is not None))
     stacks = []
     for d, parts in zip(dims, fibers):
-        stack = np.zeros((units, d, d), dtype=dtype)
+        stack = np.zeros((n_units, d, d), dtype=dtype)
         start = 0
         for e, mu, rows, img in parts:
             if img is None and mu:

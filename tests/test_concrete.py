@@ -148,7 +148,7 @@ def test_validate_memory_stays_near_its_input():
     # M_4 + M_4 -> C with k = (64, 64): a 512-dimensional fiber and 67 MB of
     # action, near MAX_ACTION_ENTRIES.  The gathered products go in chunks,
     # so validate's peak stays below the 79.7 MB that the per-block loop it
-    # replaced allocated here; one unchunked gather would take about 424 MB.
+    # replaced allocated here; one unchunked gather takes about 426 MB.
     x = realize(CorrClass(make_algebra([4, 4]), C1, ((64,), (64,))))
     assert sum(arr.nbytes for arr in x._stacks) == 32 * 512 * 512 * 8
     report, peak = _traced_peak(validate, x)
