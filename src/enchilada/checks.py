@@ -276,9 +276,10 @@ def suite_tensor_oracle(
         c = random_algebra(rng, max_blocks, max_size)
         k = random_corr(rng, a, b, max_entry)
         l = random_corr(rng, b, c, max_entry)
-        if classify(realize(k)) != k:
+        rk = realize(k)
+        if classify(rk) != k:
             fails.append(f"case {n}: roundtrip failed for {k!r}")
-        got = classify(interior_tensor(realize(k), realize(l), null_tol))
+        got = classify(interior_tensor(rk, realize(l), null_tol))
         if got != compose(k, l):
             fails.append(f"case {n}: oracle mismatch {k!r} * {l!r} -> {got!r}")
     return SuiteResult("tensor oracle", cases, tuple(fails))

@@ -255,7 +255,7 @@ def _run_check_exact(verb, obj, args):
     verdict = report.exact
     out = {
         "verb": "check-exact",
-        "short": bool(report.conditions),
+        "short": report.short,
         "exact": verdict,
         "report": report.to_json(),
     }

@@ -68,9 +68,7 @@ AlgebraElement = tuple[np.ndarray, ...]
 
 def _max_abs(arr: np.ndarray) -> float:
     # numpy's max propagates NaN; a NaN entry reads as an infinite violation.
-    if arr.size == 0:
-        return 0.0
-    worst = float(np.abs(arr).max())
+    worst = float(np.abs(arr).max(initial=0.0))
     return math.inf if math.isnan(worst) else worst
 
 
@@ -355,13 +353,6 @@ class ValidationReport:
     def failures(self) -> list[str]:
         return [c.name for c in self.checks if c.violation > self.tol]
 
-    def to_json(self) -> dict:
-        return {
-            "tol": self.tol,
-            "ok": self.ok,
-            "checks": [{"name": c.name, "violation": c.violation} for c in self.checks],
-        }
-
 
 # Most entries that a temporary of a gathered axiom product may hold.  These
 # products gather more rows than a stack has, so they go in chunks of rows.
@@ -493,11 +484,10 @@ def _gram_spectra(
             r = (r + r.conj().T) / 2.0
             lam = np.linalg.eigvalsh(r)
             spectra[(l, j)] = (r, lam)
-            if lam.size:
-                gram_norm = max(gram_norm, float(lam[-1]))
+            gram_norm = max(gram_norm, float(lam[-1]))
     cut = null_tol * max(1.0, gram_norm)
     for _r, lam in spectra.values():
-        if lam.size and float(lam[0]) < -cut:
+        if float(lam[0]) < -cut:
             raise ValidationError("tensor Gram form is not positive semidefinite")
     return spectra, gram_norm, cut
 
@@ -529,7 +519,6 @@ class InteriorTensor:
         self.gram_blocks = tuple((key, lam) for key, (_r, lam) in spectra.items())
         # spectra is in (l, j) order, so each fiber's parts come in block order.
         self._layout = tuple([] for _ in range(y.target.block_count))
-        self._weights = None
         fibers = tuple([] for _ in self._layout)
         for (l, j), (r, lam) in spectra.items():
             mu = int(np.count_nonzero(lam > cut))
@@ -538,20 +527,19 @@ class InteriorTensor:
                 fibers[l].append((x.module.fiber_dims[j], mu, slice(None), x._stacks[j]))
         self.corr = _assemble(x.source, y.target, fibers)
 
-    def _weight_layout(self):
+    @functools.cached_property
+    def _weights(self):
         # Per kept (l, j): the top mu eigenvectors of R, ascending as eigh
         # returns them, times the square roots of their eigenvalues.  Taking
         # them by index keeps each shape equal to the fiber layout of corr.
-        if self._weights is None:
-            weights = []
-            for parts in self._layout:
-                kept = []
-                for j, mu, r in parts:
-                    lam, vec = np.linalg.eigh(r)
-                    kept.append((j, mu, vec[:, -mu:] * np.sqrt(lam[-mu:])))
-                weights.append(tuple(kept))
-            self._weights = tuple(weights)
-        return self._weights
+        weights = []
+        for parts in self._layout:
+            kept = []
+            for j, mu, r in parts:
+                lam, vec = np.linalg.eigh(r)
+                kept.append((j, mu, vec[:, -mu:] * np.sqrt(lam[-mu:])))
+            weights.append(tuple(kept))
+        return tuple(weights)
 
     def embed(self, x_elt, y_elt) -> Element:
         """Image of the elementary tensor x (x) y in the quotient module.
@@ -563,7 +551,7 @@ class InteriorTensor:
         y_elt = self._y.module.as_element(y_elt)
         b, c = self._x.target, self._y.target
         out = []
-        for l, parts in enumerate(self._weight_layout()):
+        for l, parts in enumerate(self._weights):
             cl = c.blocks[l]
             rows = [np.zeros((0, cl), dtype=complex)]
             for j, mu, w in parts:
@@ -638,8 +626,7 @@ def compacts_span_defect(x: ConcreteCorr) -> float:
     """
     dims = x.module.fiber_dims
     eye = np.eye(sum(d * d for d in dims))
-    if not x.source.blocks:
-        return _max_abs(eye)
-    phi = np.concatenate([s.reshape(len(s), d * d) for s, d in zip(x._stacks, dims)], axis=1).T
+    cols = [s.reshape(len(s), d * d) for s, d in zip(x._stacks, dims)]
+    phi = np.concatenate([np.zeros((x.source.dim, 0)), *cols], axis=1).T
     sol, *_ = np.linalg.lstsq(phi, eye, rcond=None)
     return _max_abs(phi @ sol - eye)

@@ -10,10 +10,10 @@ A short sequence 0 -> A -> B -> C -> 0 is exact iff the left action of A is
 faithful, the right support of X matches the kernel of the action on Y, and
 Y is full.  Each condition is the verdict at one node: node 1 compares the
 empty image of 0 -> A with ker phi_X, node 2 compares B_X with ker phi_Y, and
-node 3 compares B_Y with all of C, the kernel of C -> 0.  So check_sequence
-names the three conditions on any zero-ended five-term chain by reading them
-off its node verdicts, and check_short_exact is check_sequence on the chain
-padded with zero morphisms.
+node 3 compares B_Y with all of C, the kernel of C -> 0.  So a report stores
+only node verdicts: on any zero-ended five-term chain it is flagged short and
+reads the three conditions off them, and check_short_exact is check_sequence
+on the chain padded with zero morphisms.
 """
 
 from __future__ import annotations
@@ -65,24 +65,26 @@ class Condition:
         return {"name": self.name, "holds": self.holds}
 
 
+# The conditions of the short exact theorem, in node order: each holds
+# exactly when its node of 0 -> A -> B -> C -> 0 is exact.
+_SHORT_EXACT_CONDITIONS = ("phi_X injective", "B_X = ker phi_Y", "Y full")
+
+
 @dataclass(frozen=True)
 class ExactnessReport:
-    """Per-node verdicts, plus named conditions for short sequences."""
+    """Per-node verdicts; a short sequence's conditions are read off them."""
 
     nodes: tuple[tuple[int, NodeVerdict], ...]
-    conditions: tuple[Condition, ...] = ()
-
-    @property
-    def nodes_exact(self) -> bool:
-        return all(v.exact for _, v in self.nodes)
-
-    @property
-    def conditions_hold(self) -> bool:
-        return all(c.holds for c in self.conditions)
+    short: bool
 
     @property
     def exact(self) -> bool:
-        return self.nodes_exact and self.conditions_hold
+        return all(v.exact for _, v in self.nodes)
+
+    @property
+    def conditions(self) -> tuple[Condition, ...]:
+        names = _SHORT_EXACT_CONDITIONS if self.short else ()
+        return tuple(Condition(name, v.exact) for name, (_, v) in zip(names, self.nodes))
 
     def failing(self) -> list[str]:
         out = [c.name for c in self.conditions if not c.holds]
@@ -94,7 +96,7 @@ class ExactnessReport:
             "exact": self.exact,
             "nodes": [{"node": k, **v.to_json()} for k, v in self.nodes],
         }
-        if self.conditions:
+        if self.short:
             out["conditions"] = [c.to_json() for c in self.conditions]
         return out
 
@@ -120,11 +122,6 @@ class SequenceSpec:
                 raise ValidationError(f"correspondence {k + 1} does not match its endpoints")
         object.__setattr__(self, "algebras", algebras)
         object.__setattr__(self, "correspondences", corrs)
-
-
-# The conditions of the short exact theorem, in node order: each holds
-# exactly when its node of 0 -> A -> B -> C -> 0 is exact.
-_SHORT_EXACT_CONDITIONS = ("phi_X injective", "B_X = ker phi_Y", "Y full")
 
 
 def exact_at(x: CorrClass, y: CorrClass) -> NodeVerdict:
@@ -161,15 +158,10 @@ def check_sequence(seq: SequenceSpec) -> ExactnessReport:
 
     A single morphism has no interior nodes and is vacuously exact.  On a
     short sequence 0 -> A -> B -> C -> 0 (five algebras, zero at both ends)
-    the report also names the three conditions of the short exact theorem,
-    each read off its node's verdict.
+    the report is flagged short, and names the three conditions of the short
+    exact theorem by reading them off its node verdicts.
     """
     corrs = seq.correspondences
     nodes = tuple((k + 1, exact_at(corrs[k], corrs[k + 1])) for k in range(len(corrs) - 1))
-    algebras = seq.algebras
-    conditions = ()
-    if len(algebras) == 5 and algebras[0].is_zero and algebras[-1].is_zero:
-        conditions = tuple(
-            Condition(name, node.exact) for name, (_, node) in zip(_SHORT_EXACT_CONDITIONS, nodes)
-        )
-    return ExactnessReport(nodes, conditions)
+    a = seq.algebras
+    return ExactnessReport(nodes, len(a) == 5 and a[0].is_zero and a[-1].is_zero)

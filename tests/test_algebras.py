@@ -73,3 +73,10 @@ def test_quotient_invariants():
             for members in itertools.combinations(range(a.block_count), size):
                 ideal = make_ideal(a, members)
                 assert quotient(a, ideal).dim + ideal.algebra.dim == a.dim
+
+
+def test_ideal_members_must_be_integers():
+    a = make_algebra([1, 1])
+    for bad in (True, 1.0, "0"):
+        with pytest.raises(ValidationError, match=f"ideal members must be integers, got {bad!r}"):
+            make_ideal(a, {bad})

@@ -502,3 +502,15 @@ def test_error_report_is_written_like_every_report(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == json.dumps(json.loads(captured.out), indent=2) + "\n"
+
+
+def test_pair_input_needs_x_and_y(capsys):
+    for obj in ({"x": X_JSON}, {"y": Y_JSON}, [X_JSON, Y_JSON]):
+        code, report = run_json(capsys, "compose", "--input", json.dumps(obj))
+        assert code == 2
+        assert report["error"] == 'expected an object with "x" and "y" correspondences'
+
+
+def test_random_checks_reject_unknown_bounds():
+    with pytest.raises(ValidationError, match=r"unknown bounds: \['max_depth'\]"):
+        run_random_checks(0, bounds={"max_depth": 2})

@@ -1148,3 +1148,64 @@ def test_classify_draws_its_generic_pairs_once_per_source():
         assert abs(got - reference_probe(x)) <= 1e-12
         nonzero += got > 0
     assert nonzero > 20
+
+
+ONE = np.ones((1, 1, 1, 1))
+
+
+def test_module_shapes_are_checked():
+    with pytest.raises(ValidationError, match="one fiber dimension per target block required"):
+        ConcreteModule(C2, (1,))
+    for bad in (-1, True, 1.0):
+        with pytest.raises(ValidationError, match=f"fiber dimensions must be non-negative, got {bad!r}"):
+            ConcreteModule(C1, (bad,))
+    module = ConcreteModule(C1, (2,))
+    with pytest.raises(ValidationError, match="element needs one matrix per target block"):
+        module.as_element([])
+    with pytest.raises(ValidationError, match=r"fiber matrix has shape \(1, 1\), expected \(2, 1\)"):
+        module.as_element([np.zeros((1, 1))])
+
+
+def test_action_shapes_are_checked():
+    with pytest.raises(ValidationError, match="one action table per target block required"):
+        ConcreteCorr(C1, ConcreteModule(C2, (1, 1)), ((ONE,),))
+    with pytest.raises(ValidationError, match="one unit-image array per source block required"):
+        ConcreteCorr(C2, ConcreteModule(C1, (1,)), ((ONE,),))
+    with pytest.raises(
+        ValidationError,
+        match=r"unit images for block 0 on fiber 0 have shape \(1, 1, 1, 1\), expected \(1, 1, 2, 2\)",
+    ):
+        ConcreteCorr(C1, ConcreteModule(C1, (2,)), ((ONE,),))
+
+
+def test_tensor_refuses_mismatched_endpoints_and_an_indefinite_gram_form():
+    x = realize(identity_corr(C1))
+    with pytest.raises(ValidationError, match="cannot tensor: first ends at"):
+        InteriorTensor(x, realize(identity_corr(C2)))
+    # A right factor whose unit image is -1 has the Gram block (-1).
+    y = ConcreteCorr(C1, ConcreteModule(C1, (1,)), ((-ONE,),))
+    for tensor in (InteriorTensor, interior_tensor_norm):
+        with pytest.raises(ValidationError, match="tensor Gram form is not positive semidefinite"):
+            tensor(x, y)
+
+
+def test_classify_refuses_a_trace_off_an_integer(monkeypatch):
+    # With the validation tolerance raised, a unit image scaled by 1.001
+    # passes validation, and its projection trace 1.001 is no multiplicity.
+    monkeypatch.setattr(concrete, "VALIDATE_TOL", 0.01)
+    x = ConcreteCorr(C1, ConcreteModule(C1, (1,)), ((1.001 * ONE,),))
+    assert validate(x).ok
+    with pytest.raises(
+        ValidationError, match=r"projection trace \(1\.001\+0j\) on fiber 0 is not a multiplicity"
+    ):
+        classify(x)
+
+
+def test_compacts_span_defect_at_the_zero_algebra():
+    # Into the zero algebra the module is zero and the defect reads 0.0; from
+    # it onto a nonzero fiber nothing reaches the compacts, so it reads 1.0.
+    assert compacts_span_defect(realize(CorrClass(C1, ZERO_ALGEBRA, ((),)))) == 0.0
+    assert compacts_span_defect(realize(CorrClass(M2, ZERO_ALGEBRA, ((),)))) == 0.0
+    assert compacts_span_defect(_zero_source()) == 1.0
+    assert compacts_span_defect(realize(CorrClass(ZERO_ALGEBRA, M2, ()))) == 0.0
+    assert compacts_span_defect(realize(CorrClass(ZERO_ALGEBRA, ZERO_ALGEBRA, ()))) == 0.0

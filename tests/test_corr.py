@@ -312,3 +312,21 @@ def test_matrix_shape_validation():
         CorrClass(C2, C1, ((1,),))
     with pytest.raises(ValidationError):
         CorrClass(C1, C2, ((1,),))
+
+
+def test_foreign_ideals_are_refused():
+    foreign = make_ideal(make_algebra([2]), {0})
+    with pytest.raises(ValidationError, match="ideal does not belong to this algebra"):
+        quotient_corr(C2, foreign)
+    x = corr(C1, C2, [[1, 0]])
+    with pytest.raises(ValidationError, match="restriction ideal must live in the target algebra"):
+        restrict_right(x, foreign)
+    with pytest.raises(ValidationError, match="factoring ideal must live in the source algebra"):
+        factor_through_quotient(x, foreign)
+
+
+def test_repr_prints_an_entry_too_long_for_str_in_hex():
+    # str() refuses ints of more than 4,300 digits by default.
+    assert repr(corr(C1, C1, [[10**4000]])) == f"CorrClass([1] -> [1]; [[{10**4000}]])"
+    big = 10**5000
+    assert repr(corr(C1, C1, [[big]])) == f"CorrClass([1] -> [1]; [[{hex(big)}]])"

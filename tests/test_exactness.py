@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -7,6 +8,7 @@ import pytest
 from enchilada import (
     GALLERY_NAMES,
     CorrClass,
+    ExactnessReport,
     SequenceSpec,
     ValidationError,
     ZERO_ALGEBRA,
@@ -84,7 +86,6 @@ def test_check_short_exact_positive():
         "Y full",
     ]
     assert all(c.holds for c in report.conditions)
-    assert report.nodes_exact
 
 
 def test_check_short_exact_broken_middle():
@@ -194,3 +195,28 @@ def test_gallery_entries_pass(name):
 def test_gallery_unknown_name():
     with pytest.raises(ValidationError):
         gallery("unknown_entry")
+
+
+def test_report_stores_only_node_verdicts():
+    # The short-exact conditions are read off the node verdicts, not stored.
+    assert [f.name for f in dataclasses.fields(ExactnessReport)] == ["nodes", "short"]
+    report = check_short_exact(CorrClass(C1, C2, ((1, 1),)), CorrClass(C2, C1, ((0,), (1,))))
+    assert report.short
+    assert [(c.name, c.holds) for c in report.conditions] == [
+        ("phi_X injective", True),
+        ("B_X = ker phi_Y", False),
+        ("Y full", True),
+    ]
+    assert report.failing() == ["B_X = ker phi_Y", "node 2"]
+    unflagged = ExactnessReport(report.nodes, False)
+    assert unflagged.conditions == ()
+    assert "conditions" not in unflagged.to_json()
+    assert unflagged.failing() == ["node 2"]
+    assert not unflagged.exact and not report.exact
+
+
+def test_empty_and_non_composable_sequences_are_refused():
+    with pytest.raises(ValidationError, match="a sequence needs at least one algebra"):
+        SequenceSpec((), ())
+    with pytest.raises(ValidationError, match="short sequence needs composable correspondences"):
+        check_short_exact(CorrClass(C1, C2, ((1, 0),)), CorrClass(C1, C1, ((1,),)))
