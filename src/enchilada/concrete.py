@@ -627,6 +627,7 @@ def compacts_span_defect(x: ConcreteCorr) -> float:
     dims = x.module.fiber_dims
     eye = np.eye(sum(d * d for d in dims))
     cols = [s.reshape(len(s), d * d) for s, d in zip(x._stacks, dims)]
+    # The empty first block gives phi its shape when the target has no blocks.
     phi = np.concatenate([np.zeros((x.source.dim, 0)), *cols], axis=1).T
     sol, *_ = np.linalg.lstsq(phi, eye, rcond=None)
     return _max_abs(phi @ sol - eye)

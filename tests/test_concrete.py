@@ -1157,12 +1157,14 @@ def test_module_shapes_are_checked():
     with pytest.raises(ValidationError, match="one fiber dimension per target block required"):
         ConcreteModule(C2, (1,))
     for bad in (-1, True, 1.0):
-        with pytest.raises(ValidationError, match=f"fiber dimensions must be non-negative, got {bad!r}"):
+        message = f"fiber dimensions must be non-negative, got {bad!r}"
+        with pytest.raises(ValidationError, match=message):
             ConcreteModule(C1, (bad,))
     module = ConcreteModule(C1, (2,))
     with pytest.raises(ValidationError, match="element needs one matrix per target block"):
         module.as_element([])
-    with pytest.raises(ValidationError, match=r"fiber matrix has shape \(1, 1\), expected \(2, 1\)"):
+    message = r"fiber matrix has shape \(1, 1\), expected \(2, 1\)"
+    with pytest.raises(ValidationError, match=message):
         module.as_element([np.zeros((1, 1))])
 
 
@@ -1171,10 +1173,11 @@ def test_action_shapes_are_checked():
         ConcreteCorr(C1, ConcreteModule(C2, (1, 1)), ((ONE,),))
     with pytest.raises(ValidationError, match="one unit-image array per source block required"):
         ConcreteCorr(C2, ConcreteModule(C1, (1,)), ((ONE,),))
-    with pytest.raises(
-        ValidationError,
-        match=r"unit images for block 0 on fiber 0 have shape \(1, 1, 1, 1\), expected \(1, 1, 2, 2\)",
-    ):
+    message = (
+        r"unit images for block 0 on fiber 0 have shape \(1, 1, 1, 1\), "
+        r"expected \(1, 1, 2, 2\)"
+    )
+    with pytest.raises(ValidationError, match=message):
         ConcreteCorr(C1, ConcreteModule(C1, (2,)), ((ONE,),))
 
 
