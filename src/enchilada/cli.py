@@ -17,6 +17,7 @@ from pathlib import Path
 from .checks import run_random_checks
 from .concrete import GRAM_NULL_TOL, InteriorTensor, classify, realize
 from .corr import (
+    CorrClass,
     cokernel,
     compose,
     epi_finite_rank_test,
@@ -35,7 +36,7 @@ from .corr import (
 )
 from .errors import ValidationError
 from .exactness import check_sequence, check_short_exact
-from .jsonio import corr_from_json, corr_to_json, ideal_to_json, sequence_from_json
+from .jsonio import algebra_to_json, corr_from_json, ideal_to_json, sequence_from_json
 from .quirks import GALLERY_NAMES, gallery
 
 # oracle-tensor prints gram_norm to this many significant digits: the last
@@ -117,15 +118,34 @@ def _encoder(pad: str):
     return json.JSONEncoder(separators=(",\n" + pad, ": ")).encode
 
 
-def _indented(value, pad: str) -> str:
-    """What `json.dumps(value, indent=2)` writes, nested at `pad`.
-
-    A list of scalars is one call to the C encoder.  So is a matrix, a list
-    of non-empty scalar lists: its row boundaries `],<newline><pad>[` are
-    then split apart, and an encoded string never holds a raw newline, so no
-    string can be taken for a boundary.
-    """
+def _matrix(rows, pad: str) -> str:
+    """Non-empty rows of scalars in one C encoder call.  An encoded string
+    holds no raw newline, so only row boundaries match `],<newline><pad>[`."""
     inner = pad + "  "
+    row_pad = inner + "  "
+    body = _encoder(row_pad)(rows)[2:-2].replace(
+        "],\n" + row_pad + "[", "\n" + inner + "],\n" + inner + "[\n" + row_pad
+    )
+    return f"[\n{inner}[\n{row_pad}{body}\n{inner}]\n{pad}]"
+
+
+def _indented(value, pad: str) -> str:
+    """What `json.dumps(value, indent=2)` writes, nested at `pad`, of `value`
+    with each CorrClass as its `corr_to_json` form.  A list of scalars is one
+    call to the C encoder, and so is a matrix."""
+    inner = pad + "  "
+    if type(value) is CorrClass:
+        rows = value.matrix
+        if rows and rows[0]:
+            # Entries are ints and INF only, so each Infinity written is an INF.
+            matrix = _matrix(rows, inner).replace("Infinity", '"inf"')
+        else:
+            matrix = _indented(rows, inner)
+        return (
+            f'{{\n{inner}"source": {_indented(algebra_to_json(value.source), inner)},\n'
+            f'{inner}"target": {_indented(algebra_to_json(value.target), inner)},\n'
+            f'{inner}"matrix": {matrix}\n{pad}}}'
+        )
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -142,16 +162,12 @@ def _indented(value, pad: str) -> str:
     if _SCALARS.issuperset(map(type, value)):
         return "[\n" + inner + _encoder(inner)(value)[1:-1] + "\n" + pad + "]"
     if all(type(row) is list and row and _SCALARS.issuperset(map(type, row)) for row in value):
-        row_pad = inner + "  "
-        body = _encoder(row_pad)(value)[2:-2].replace(
-            "],\n" + row_pad + "[", "\n" + inner + "],\n" + inner + "[\n" + row_pad
-        )
-        return f"[\n{inner}[\n{row_pad}{body}\n{inner}]\n{pad}]"
+        return _matrix(value, pad)
     return "[\n" + ",\n".join(inner + _indented(item, inner) for item in value) + "\n" + pad + "]"
 
 
 def _dumps(report: dict) -> str:
-    """The report as `json.dumps(report, indent=2)` writes it."""
+    """The report as `_indented` writes it, at no indent."""
     try:
         return _indented(report, "")
     except ValueError:  # an int beyond sys.get_int_max_str_digits(), e.g. a product
@@ -186,7 +202,7 @@ def _pair(obj) -> tuple:
 def _run_compose(verb, obj, args):
     x, y = _pair(obj)
     result = compose(x, y)
-    report = {"verb": "compose", "result": corr_to_json(result)}
+    report = {"verb": "compose", "result": result}
     return 0, report, lambda: [f"compose: {result!r}"]
 
 
@@ -203,7 +219,7 @@ def _run_ideal_verb(verb, obj, args):
     build, witness, label = _IDEAL_VERBS[verb]
     result = build(x)
     ideal = ideal_to_json(witness(x))
-    report = {"verb": verb, "result": corr_to_json(result), "ideal": ideal, "witness": label}
+    report = {"verb": verb, "result": result, "ideal": ideal, "witness": label}
     return 0, report, lambda: [f"{verb}: {result!r}", f"  {label} blocks: {ideal['members']}"]
 
 
@@ -233,7 +249,7 @@ def _run_predicates(verb, obj, args):
         rank_tests[name] = entry
     report = {
         "verb": "classify-predicates",
-        "input": corr_to_json(x),
+        "input": x,
         "predicates": preds,
         "rank_tests": rank_tests,
     }
@@ -285,8 +301,8 @@ def _run_oracle_tensor(verb, obj, args):
     match = numeric == symbolic
     report = {
         "verb": "oracle-tensor",
-        "symbolic": corr_to_json(symbolic),
-        "numeric": corr_to_json(numeric),
+        "symbolic": symbolic,
+        "numeric": numeric,
         "match": match,
         "gram_norm": float(f"{tensor.gram_norm:.{GRAM_NORM_DIGITS}g}"),
         "fiber_dims": list(tensor.corr.module.fiber_dims),

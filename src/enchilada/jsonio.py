@@ -74,11 +74,14 @@ def cardinal_to_json(c: int | float) -> int | str:
     return "inf" if c == INF else c
 
 
+_TO_WIRE = {INF: "inf"}  # every other entry is an int, its own wire form
+
+
 def corr_to_json(x: CorrClass) -> dict:
     return {
         "source": algebra_to_json(x.source),
         "target": algebra_to_json(x.target),
-        "matrix": [[cardinal_to_json(v) for v in row] for row in x.matrix],
+        "matrix": [list(map(_TO_WIRE.get, row, row)) for row in x.matrix],
     }
 
 

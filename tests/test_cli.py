@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import enchilada
-from enchilada import ValidationError, run_random_checks
+from enchilada import INF, CorrClass, ValidationError, make_algebra, run_random_checks
 from enchilada.cli import _dumps, main
+from enchilada.jsonio import corr_to_json
 
 X_JSON = {"source": {"blocks": [1]}, "target": {"blocks": [1, 1]}, "matrix": [[1, 0]]}
 Y_JSON = {"source": {"blocks": [1, 1]}, "target": {"blocks": [1]}, "matrix": [[0], [1]]}
@@ -492,7 +493,11 @@ def test_report_writer_matches_json_dumps_on_any_json_value(value):
 
 
 def test_report_writer_refuses_unprintable_integers():
-    for report in ({"n": 10**5000}, {"row": [1, 10**5000]}, {"matrix": [[1], [10**5000]]}):
+    big = 10 ** sys.get_int_max_str_digits()  # one digit more than str() writes
+    x = CorrClass(make_algebra([1, 2]), make_algebra([1]), [[INF], [big]])
+    for report in (
+        {"n": 10**5000}, {"row": [1, 10**5000]}, {"matrix": [[1], [10**5000]]}, {"result": x}
+    ):
         with pytest.raises(ValidationError, match="cannot be printed"):
             _dumps(report)
 
@@ -514,3 +519,49 @@ def test_pair_input_needs_x_and_y(capsys):
 def test_random_checks_reject_unknown_bounds():
     with pytest.raises(ValidationError, match=r"unknown bounds: \['max_depth'\]"):
         run_random_checks(0, bounds={"max_depth": 2})
+
+
+# A class in a report is written as json.dumps(indent=2) writes its
+# corr_to_json form: drawn with INF, ints past 2**53 (beyond a float's exact
+# range), zero-block sources (no rows) and zero-block targets (empty rows).
+@st.composite
+def classes(draw):
+    source, target = (draw(st.lists(st.integers(1, 3), max_size=4)) for _ in range(2))
+    entry = st.sampled_from([0, 1, 3, INF]) | st.integers(2**53, 2**80)
+    row = st.lists(entry, min_size=len(target), max_size=len(target))
+    matrix = draw(st.lists(row, min_size=len(source), max_size=len(source)))
+    return CorrClass(make_algebra(source), make_algebra(target), matrix)
+
+
+def _wire(value):
+    if type(value) is CorrClass:
+        return corr_to_json(value)
+    if isinstance(value, dict):
+        return {key: _wire(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_wire(item) for item in value]
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(classes(), st.lists(classes(), max_size=3))
+def test_report_writer_writes_classes_as_their_wire_form(x, others):
+    for report in (
+        {"verb": "compose", "result": x},
+        {"verb": "kernel", "result": x, "ideal": {"members": []}, "witness": "ker phi"},
+        {"input": x, "entries": [{"symbolic": y, "numeric": y, "match": True} for y in others]},
+        {"classes": [x, *others], "mixed": [x, 1, "inf", [[2**60]]]},
+    ):
+        assert _dumps(report) == json.dumps(_wire(report), indent=2)
+
+
+# Stdout pinned byte for byte for each verb that prints a class, as
+# {name: {argv, code, stdout}}.  The requests cover INF, ints past 2**53,
+# empty ideals and zero-block algebras (matrices with no rows or empty rows).
+CLI_GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("name", CLI_GOLDEN)
+def test_printed_classes_match_the_golden_stdout(capsys, name):
+    entry = CLI_GOLDEN[name]
+    assert (main(entry["argv"]), capsys.readouterr().out) == (entry["code"], entry["stdout"])

@@ -13,6 +13,7 @@ from enchilada import (
 from enchilada.jsonio import (
     algebra_from_json,
     algebra_to_json,
+    cardinal_to_json,
     corr_from_json,
     corr_to_json,
     ideal_from_json,
@@ -47,6 +48,12 @@ def test_corr_roundtrip_with_inf():
     data = corr_to_json(x)
     assert data["matrix"] == [[1, "inf"], [0, 2]]
     assert corr_from_json(data) == x
+
+
+def test_corr_to_json_writes_each_entry_as_cardinal_to_json():
+    # 314159 is hash(INF), so it meets INF's key in corr_to_json's entry table.
+    x = CorrClass(C2, C2, ((INF, 314159), (0, 2**80)))
+    assert corr_to_json(x)["matrix"] == [[cardinal_to_json(v) for v in row] for row in x.matrix]
 
 
 def test_corr_roundtrip_empty_matrices():
