@@ -208,11 +208,14 @@ _plan = functools.lru_cache(maxsize=128)(_Plan)
 class ConcreteCorr:
     """A concrete module plus a left action, stored as matrix-unit images.
 
-    Fiber j is one contiguous read-only (sum_i n_i^2, d_j, d_j) stack of the
-    images of all source matrix units, unit (i, p, q) at row off_i + p n_i + q,
-    and action[j][i] the read-only (n_i, n_i, d_j, d_j) view of block i's
-    rows.  The stack copies the arrays given; its dtype follows the fiber's
-    data: float64 when every array of the fiber is real, complex128 otherwise.
+    Fiber j is a direct sum, a tuple of parts (mu, summand): mu >= 1 copies,
+    copy-major, of a read-only (sum_i n_i^2, e, e) stack of the images of all
+    source matrix units, unit (i, p, q) at row off_i + p n_i + q; of an int i,
+    the identity representation of source block i; or of a nested fiber.
+    `_stacks[j]`, the fiber as one stack of dtype `_dtypes[j]`, and action[j][i],
+    the read-only (n_i, n_i, d_j, d_j) view of block i's rows, are made on first
+    use.  The constructor stores one part (1, stack) per fiber, copying the
+    arrays given: float64 when each array of the fiber is real, else complex128.
     """
 
     source: FdCStarAlgebra
@@ -239,16 +242,29 @@ class ConcreteCorr:
                 stack[off[i] : off[i + 1]] = arr.reshape(n * n, d, d)
             stack.setflags(write=False)
             stacks.append(stack)
-        self.__dict__["_stacks"] = tuple(stacks)
+        fibers, dtypes = tuple(((1, s),) for s in stacks), tuple(s.dtype for s in stacks)
+        self.__dict__.update(_stacks=tuple(stacks), _fibers=fibers, _dtypes=dtypes)
         del self.__dict__["action"]  # the views are made on first use
 
     @classmethod
-    def _trusted(cls, source, module, stacks) -> ConcreteCorr:
-        """A correspondence from read-only fiber stacks of the right shapes
-        that no caller holds; skips the copy and the checks in __post_init__."""
-        x = object.__new__(cls)
-        x.__dict__.update(source=source, module=module, _stacks=stacks)
+    def _trusted(cls, source, target, dims, fibers, dtype) -> ConcreteCorr:
+        """From fibers of parts that no caller holds, with stacks of this dtype:
+        no check but MAX_ACTION_ENTRIES, which precedes any allocation."""
+        entries = sum(n * n for n in source.blocks) * sum(d * d for d in dims)
+        if entries > MAX_ACTION_ENTRIES:
+            raise ValidationError(
+                f"the unit-image arrays for fibers {dims} hold {entries} "
+                f"entries, which exceeds {MAX_ACTION_ENTRIES}"
+            )
+        x, module = object.__new__(cls), ConcreteModule(target, dims)
+        dtypes = (dtype,) * len(fibers)
+        x.__dict__.update(source=source, module=module, _fibers=fibers, _dtypes=dtypes)
         return x
+
+    @functools.cached_property
+    def _stacks(self) -> tuple[np.ndarray, ...]:
+        args = (self._fibers, self.module.fiber_dims, self._dtypes)
+        return tuple(map(functools.partial(_assemble, _plan(self.source.blocks)), *args))
 
     def __getattr__(self, name):
         # Called only for attributes not set: action[j][i] is made on first
@@ -279,56 +295,50 @@ class ConcreteCorr:
         return tuple(self.action_matrix(j, a) @ xj for j, xj in enumerate(x))
 
 
-def _assemble(source: FdCStarAlgebra, target: FdCStarAlgebra, fibers) -> ConcreteCorr:
-    """The correspondence whose fiber l is the block-diagonal sum of fibers[l].
+def _fill(out: np.ndarray, parts, plan: _Plan) -> int:
+    # Writes the parts' copies on the diagonal of the zeroed stack out and
+    # returns their width: each first copy from the summand's parts, its stack
+    # or, for block i's identity, E_pq at unit (i, p, q); the rest from it.
+    start = 0
+    for mu, s in parts:
+        first = out[:, start:, start:]
+        if isinstance(s, tuple):
+            e = _fill(first, s, plan)
+        elif isinstance(s, int):
+            e = plan.blocks[s]
+            first[plan.off[s] : plan.off[s + 1], :e, :e] = np.eye(e * e).reshape(e * e, e, e)
+        else:
+            e = s.shape[1]
+            first[:, :e, :e] = s
+        for o in range(start + e, start + mu * e, max(e, 1)):
+            out[:, o : o + e, o : o + e] = first[:, :e, :e]
+        start += mu * e
+    return start
 
-    Each part (e, mu, rows, img) of a fiber places mu copies, copy-major, of
-    an e-dimensional representation on the diagonal of the stack rows `rows`:
-    img holds their unit images, or is None for the identity representation
-    of the block at those rows (e = n_i); other rows act as zero.  The size
-    is checked before anything is allocated; each fiber is one zero stack,
-    float64 unless some image is complex, and each copy one slice assignment.
-    """
-    dims = tuple(sum(e * mu for e, mu, *_ in parts) for parts in fibers)
-    n_units = sum(n * n for n in source.blocks)
-    entries = n_units * sum(d * d for d in dims)
-    if entries > MAX_ACTION_ENTRIES:
-        raise ValidationError(
-            f"the unit-image arrays for fibers {dims} hold {entries} "
-            f"entries, which exceeds {MAX_ACTION_ENTRIES}"
-        )
-    dtype = _dtype(*(img for parts in fibers for *_, img in parts if img is not None))
-    stacks = []
-    for d, parts in zip(dims, fibers):
-        stack = np.zeros((n_units, d, d), dtype=dtype)
-        start = 0
-        for e, mu, rows, img in parts:
-            if img is None and mu:
-                img = np.eye(e * e).reshape(e * e, e, e)
-            for o in range(start, start + mu * e, e):
-                stack[rows, o : o + e, o : o + e] = img
-            start += mu * e
-        stack.setflags(write=False)
-        stacks.append(stack)
-    return ConcreteCorr._trusted(source, ConcreteModule(target, dims), tuple(stacks))
+
+def _assemble(plan: _Plan, parts, d: int, dtype) -> np.ndarray:
+    """The read-only stack of a fiber of these parts and dimension d."""
+    stack = np.zeros((plan.off[-1], d, d), dtype=dtype)
+    _fill(stack, parts, plan)
+    stack.setflags(write=False)
+    return stack
 
 
 def realize(kind: CorrClass) -> ConcreteCorr:
     """Canonical numeric model of a finite-multiplicity class.
 
-    Fiber j stacks k_{ij} copies of each source block i in block order, so
-    its dimension is sum_i k_{ij} n_i and the left action is the matching
+    Fiber j holds k_{ij} copies of each source block i in block order, so its
+    dimension is sum_i k_{ij} n_i and the left action is the matching
     block-diagonal sum of identity representations.  classify inverts this.
     """
     if not kind.all_finite:
         raise ValidationError("cannot realize a class with infinite multiplicities")
-    a, b = kind.source, kind.target
-    off = _plan(a.blocks).off
-    fibers = [
-        [(n, kind.matrix[i][j], slice(off[i], off[i + 1]), None) for i, n in enumerate(a.blocks)]
-        for j in range(b.block_count)
-    ]
-    return _assemble(a, b, fibers)
+    a, b, k = kind.source, kind.target, kind.matrix
+    fibers = tuple(
+        tuple((row[j], i) for i, row in enumerate(k) if row[j]) for j in range(b.block_count)
+    )
+    dims = tuple(sum(mu * a.blocks[i] for mu, i in parts) for parts in fibers)
+    return ConcreteCorr._trusted(a, b, dims, fibers, np.float64)
 
 
 @dataclass(frozen=True)
@@ -389,13 +399,32 @@ def _generic(checks, stack, units) -> float:
     return _max_abs(prod)
 
 
+def _leaves(parts, mu: int = 1, out=None) -> dict:
+    # Each stack and identity block in parts, nested too: id -> [summand, multiplicity].
+    out = {} if out is None else out
+    for m, s in parts:
+        if isinstance(s, tuple):
+            _leaves(s, mu * m, out)
+        else:
+            out.setdefault(id(s), [s, 0])[1] += mu * m
+    return out
+
+
 def _report(x: ConcreteCorr, measure, plan: _Plan) -> ValidationReport:
-    # A few batched products per nonzero fiber over the plan's index arrays: a
-    # summation product gives the block-unit images P_i and their sum, which is
-    # nondegeneracy; measure(checks, stack, units) the multiplicativity.  The
-    # adjoints e_{1p}^* = e_{p1} with it give e_{pq}^* = e_{qp} (DECISIONS.md).
+    # A few batched products per distinct nonzero summand (DECISIONS.md), the
+    # identity summands new on a fiber as one sum no wider than it: a summation
+    # product gives the P_i and their sum, which is nondegeneracy; measure the
+    # multiplicativity, and with it e_{1p}^* = e_{p1} gives every adjoint.
+    seen, stacks = {}, []
+    for parts in x._fibers:
+        leaves = _leaves(parts)
+        new = [s for key, (s, _) in leaves.items() if key not in seen]
+        seen.update(leaves)
+        stacks += [s for s in new if not isinstance(s, int)]
+        if ids := tuple((1, i) for i in new if isinstance(i, int)):
+            stacks.append(_assemble(plan, ids, sum(plan.blocks[i] for _, i in ids), np.float64))
     mult = adjoint = nondegeneracy = 0.0
-    for stack in x._stacks:
+    for stack in stacks:
         d = stack.shape[1]
         if d == 0:
             continue
@@ -418,7 +447,7 @@ def validate(x: ConcreteCorr) -> ValidationReport:
 
     Multiplicativity: e_{pq} = e_{p1} e_{1q} and e_{1p} e_{q1} = delta_{pq} e_{11}
     in each block, and P_i P_k = 0 for the images of distinct block units:
-    2 sum_i n_i^2 + r(r - 1) products per fiber, gathered in bounded chunks.
+    2 sum_i n_i^2 + r(r - 1) products per summand, gathered in bounded chunks.
     Adjoints: e_{1p}^* = e_{p1}.  Nondegeneracy: unit images summing to the
     identity on each nonzero fiber.  An action passes when no violation
     exceeds VALIDATE_TOL; a zero module passes vacuously.
@@ -442,7 +471,14 @@ def classify(x: ConcreteCorr) -> CorrClass:
             f"action fails validation: {report.failures()} "
             f"(max violation {report.max_violation:.3e})"
         )
-    traces = [stack[plan.off[:-1]].trace(axis1=1, axis2=2).tolist() for stack in x._stacks]
+    # Traces of the e_{i11} images add over parts; block k's identity has 1 at k.
+    eye, traces = np.eye(x.source.block_count), []
+    for parts in x._fibers:
+        tr = np.zeros(len(eye))
+        for s, mu in _leaves(parts).values():
+            t = eye[s] if isinstance(s, int) else s[plan.off[:-1]].trace(axis1=1, axis2=2)
+            tr = tr + mu * t
+        traces.append(tr.tolist())
     rows = []
     for i in range(x.source.block_count):
         row = []
@@ -466,7 +502,10 @@ def _gram_spectra(
     of middle block j on fiber l of y, float64 for a real action.  Returns
     the largest eigenvalue (0.0 for no block) and the null cutoff
     null_tol * max(1, norm), after checking positivity against that cutoff.
+    null_tol must lie in (0, 1).
     """
+    if not 0.0 < null_tol < 1.0:
+        raise ValidationError(f"null_tol must lie in (0, 1), got {null_tol!r}")
     if x.target != y.source:
         raise ValidationError(
             f"cannot tensor: first ends at {x.target!r}, second starts at {y.source!r}"
@@ -517,15 +556,16 @@ class InteriorTensor:
         spectra, self.gram_norm, cut = _gram_spectra(x, y, null_tol)
         self._x, self._y = x, y
         self.gram_blocks = tuple((key, lam) for key, (_r, lam) in spectra.items())
-        # spectra is in (l, j) order, so each fiber's parts come in block order.
-        self._layout = tuple([] for _ in range(y.target.block_count))
-        fibers = tuple([] for _ in self._layout)
+        # In (l, j) order: fiber l of corr holds mu copies of x's fiber j.
+        self._layout = layout = tuple([] for _ in range(y.target.block_count))
         for (l, j), (r, lam) in spectra.items():
             mu = int(np.count_nonzero(lam > cut))
             if mu:
-                self._layout[l].append((j, mu, r))
-                fibers[l].append((x.module.fiber_dims[j], mu, slice(None), x._stacks[j]))
-        self.corr = _assemble(x.source, y.target, fibers)
+                layout[l].append((j, mu, r))
+        dims = tuple(sum(mu * x.module.fiber_dims[j] for j, mu, _ in p) for p in layout)
+        fibers = tuple(tuple((mu, x._fibers[j]) for j, mu, _ in p) for p in layout)
+        dtype = np.result_type(np.float64, *(x._dtypes[j] for p in layout for j, *_ in p))
+        self.corr = ConcreteCorr._trusted(x.source, y.target, dims, fibers, dtype)
 
     @functools.cached_property
     def _weights(self):

@@ -983,8 +983,8 @@ def test_assemble_places_copies_copy_major():
     # the tensor with realize(L) holds L[j][l] copies of fiber j of the left
     # factor on its fiber l, in block order, here also for a unitarily
     # rotated (complex) left factor.
-    rng = np.random.default_rng(48)
-    zero_entries = zero_fibers = 0
+    rng, nested_rng = np.random.default_rng(48), np.random.default_rng(148)
+    zero_entries = zero_fibers = nested = 0
     for case in range(60):
         a, b, c = (random_algebra(rng, zero_prob=0.0) for _ in range(3))
         k, l = random_corr(rng, a, b), random_corr(rng, b, c)
@@ -1001,6 +1001,12 @@ def test_assemble_places_copies_copy_major():
         )
         if case % 2:
             x = _rotate(x, rng, orthogonal=False)
+        elif case % 4 == 2:
+            # Only fiber 0 complex: the constructor keeps a dtype per fiber.
+            action = [list(per) for per in x.action]
+            if action:
+                action[0] = [arr.astype(complex) for arr in action[0]]
+            x = ConcreteCorr(x.source, x.module, tuple(map(tuple, action)))
         t = InteriorTensor(x, realize(l)).corr
         _assert_action_equals(
             t,
@@ -1012,9 +1018,173 @@ def test_assemble_places_copies_copy_major():
                 ],
             ),
         )
+        # The tensor of the tensor holds L2[m][n] copies of fiber m of t, whose
+        # own parts are nested fibers of x; it too takes one dtype throughout.
+        d = random_algebra(nested_rng, zero_prob=0.0)
+        l2 = random_corr(nested_rng, c, d)
+        t2 = InteriorTensor(t, realize(l2)).corr
+        _assert_action_equals(
+            t2,
+            _copy_major_action(
+                a,
+                [
+                    [(l2.matrix[m][n], t.action[m]) for m in range(c.block_count)]
+                    for n in range(d.block_count)
+                ],
+            ),
+        )
         zero_entries += any(0 in row for row in k.matrix + l.matrix)
         zero_fibers += 0 in x.module.fiber_dims + t.module.fiber_dims
-    assert zero_entries > 20 and zero_fibers > 10
+        nested += any(t2.module.fiber_dims)
+    assert zero_entries > 20 and zero_fibers > 10 and nested > 20
+
+
+def _single_stack(x):
+    # The same correspondence through the public constructor: one stack per
+    # fiber, checked as a whole.
+    return ConcreteCorr(x.source, x.module, x.action)
+
+
+def _classify_or_failures(x):
+    # classify's class, or the failure names its refusal lists.
+    try:
+        return classify(x)
+    except ValidationError as err:
+        return str(err).split(" (max violation")[0]
+
+
+def _assert_same_as_single_stack(x):
+    rebuilt = _single_stack(x)
+    got, want = validate(x), validate(rebuilt)
+    assert got.ok == want.ok and got.failures() == want.failures()
+    assert [c.name for c in got.checks] == [c.name for c in want.checks]
+    for g, w in zip(got.checks, want.checks):
+        assert abs(g.violation - w.violation) <= 1e-12
+    outcome = _classify_or_failures(x)
+    assert outcome == _classify_or_failures(rebuilt)
+    return outcome
+
+
+def _left_factors(seed, cases):
+    # Realized pairs K, L and L2 whose left factor is rotated (orthogonal or
+    # unitary) or has noise of scale 1e-12 to 1e-1 on some unit images.
+    rng = np.random.default_rng(seed)
+    for case in range(cases):
+        a, b, c, d = (random_algebra(rng) for _ in range(4))
+        k, l, l2 = random_corr(rng, a, b), random_corr(rng, b, c), random_corr(rng, c, d)
+        x = _rotate(realize(k), rng, orthogonal=case % 2 == 0)
+        if case % 3:
+            action = [list(per) for per in x.action]
+            for per in action:
+                for i, arr in enumerate(per):
+                    if arr.size and rng.random() < 0.3:
+                        scale = 10.0 ** rng.integers(-12, 0)
+                        per[i] = arr + scale * rng.standard_normal(arr.shape)
+            x = ConcreteCorr(x.source, x.module, tuple(map(tuple, action)))
+        yield x, realize(l), realize(l2)
+
+
+def test_summand_checks_match_the_single_stack():
+    # validate and classify check each distinct summand of a tensor once;
+    # rebuilt as one stack per fiber, the same correspondence must get the
+    # same verdicts, failure names and classes, and violations within 1e-12.
+    # The tensor of a tensor has nested parts.
+    refused = classified = 0
+    for x, y, z in _left_factors(51, 150):
+        t = InteriorTensor(x, y).corr
+        for corr in (t, InteriorTensor(t, z).corr):
+            outcome = _assert_same_as_single_stack(corr)
+            refused += isinstance(outcome, str)
+            classified += isinstance(outcome, CorrClass) and any(corr.module.fiber_dims)
+    assert refused > 50 and classified > 50
+
+
+def test_a_bad_summand_after_the_first_is_caught():
+    # Fiber 1 of the left factor is the second distinct summand of the
+    # tensor's only fiber; a unit image off by 0.1 there must be refused,
+    # with the failure names of the single-stack copy, on its own and nested.
+    x = _with_images(realize(identity_corr(C2)), 1, 1, 1.1 * ONE)
+    y = realize(CorrClass(C2, C1, ((1,), (1,))))
+    t = InteriorTensor(x, y).corr
+    for corr in (t, InteriorTensor(t, realize(CorrClass(C1, C1, ((2,),)))).corr):
+        outcome = _assert_same_as_single_stack(corr)
+        assert outcome.startswith("action fails validation: [")
+    # The same on seeded pairs: one entry of one unit image of one fiber
+    # of the left factor moved by 0.1, whichever summand that fiber is.
+    rng = np.random.default_rng(52)
+    caught = 0
+    for x, y, _ in _left_factors(53, 60):
+        kept = [j for j, dj in enumerate(x.module.fiber_dims) if dj]
+        if not kept:
+            continue
+        j = kept[rng.integers(len(kept))]
+        i = rng.integers(x.source.block_count)
+        arr = np.array(x.action[j][i])
+        arr[(0,) * 4] += 0.1
+        t = InteriorTensor(_with_images(x, j, i, arr), y).corr
+        if any(t.module.fiber_dims):
+            assert isinstance(_assert_same_as_single_stack(t), str)
+            caught += 1
+    assert caught > 20
+
+
+def test_stacks_are_built_only_when_read():
+    # realize builds parts only, and validate and classify check the one
+    # identity summand: a stack of fiber 0 would hold 16 * 128^2 float64
+    # entries, 2 MB, and of the tensor's 16 * 384^2, 18.9 MB.
+    kind = CorrClass(make_algebra([4]), C1, ((32,),))
+    x, peak = _traced_peak(realize, kind)
+    report, validate_peak = _traced_peak(validate, x)
+    got, classify_peak = _traced_peak(classify, x)
+    t = InteriorTensor(x, realize(CorrClass(C1, C1, ((3,),)))).corr
+    got_t, tensor_peak = _traced_peak(classify, t)
+    assert report.ok and got == kind and got_t == CorrClass(x.source, C1, ((96,),))
+    assert max(peak, validate_peak, classify_peak, tensor_peak) < 100_000
+    assert "_stacks" not in vars(x) and "_stacks" not in vars(t)
+    # Reading the action builds the layout that realize has always had.
+    _assert_action_equals(x, _copy_major_action(x.source, [[(32, _identity_images(x.source, 0))]]))
+    _assert_action_equals(t, _copy_major_action(x.source, [[(3, x.action[0])]]))
+
+
+def test_identity_summands_are_checked_as_built(monkeypatch):
+    # realize stores identity summands, and the report checks those new on a
+    # fiber as one sum no wider than the fiber: on the identity of M_2^4,
+    # four sums of width 2, not one of width 8.
+    assemble, widths = concrete._assemble, []
+
+    def spy(plan, parts, d, dtype):
+        widths.append(d)
+        return assemble(plan, parts, d, dtype)
+
+    monkeypatch.setattr(concrete, "_assemble", spy)
+    assert validate(realize(identity_corr(make_algebra([2, 2, 2, 2])))).ok
+    assert widths == [2, 2, 2, 2]
+    # They go through the stack the builder makes: doubled images fail.
+    fill = concrete._fill
+
+    def doubled(out, parts, plan):
+        width = fill(out, parts, plan)
+        out *= 2.0
+        return width
+
+    x = realize(CorrClass(make_algebra([2, 1]), C2, ((1, 2), (0, 1))))
+    assert validate(x).ok
+    monkeypatch.setattr(concrete, "_fill", doubled)
+    assert validate(x).failures() == ["star-multiplicativity", "nondegeneracy"]
+    with pytest.raises(ValidationError, match="action fails validation"):
+        classify(x)
+
+
+@pytest.mark.parametrize("null_tol", [float("nan"), -1.0, 0.0, 1.0, 2.0])
+def test_tensor_refuses_a_null_tol_outside_the_unit_interval(null_tol):
+    # At nan or 2.0 the cut would drop every eigenvalue, so [[1]] . [[1]] over
+    # C -> M_2 -> C would classify as [[0]]; at -1.0 a positive semidefinite
+    # form would read as indefinite.
+    x, y = realize(CorrClass(C1, M2, ((1,),))), realize(CorrClass(M2, C1, ((1,),)))
+    for tensor in (InteriorTensor, interior_tensor):
+        with pytest.raises(ValidationError, match=r"null_tol must lie in \(0, 1\)"):
+            tensor(x, y, null_tol)
+    assert classify(interior_tensor(x, y, 0.5)) == CorrClass(C1, C1, ((1,),))
 
 
 def test_norm_reads_the_gram_spectra_only(monkeypatch):
@@ -1037,6 +1207,9 @@ def test_norm_reads_the_gram_spectra_only(monkeypatch):
     assert len(pairs) == 200
     assert 50 < sum(norm < concrete.VANISH_TOL for norm in pairs) < 150
     x, y = realize(CorrClass(C1, M2, ((2,),))), realize(CorrClass(M2, C2, ((1, 3),)))
+    # The spectra read the right factor's stacks, which are assembled on
+    # first use; once they exist, nothing else is assembled.
+    assert y.action[0][0].shape == (2, 2, 2, 2)
 
     def refuse(*args):
         raise AssertionError("interior_tensor_norm assembled an action")
