@@ -1152,7 +1152,7 @@ def test_identity_summands_are_checked_as_built(monkeypatch):
     monkeypatch.setattr(concrete, "_assemble", spy)
     assert validate(realize(identity_corr(make_algebra([2, 2, 2, 2])))).ok
     assert widths == [2, 2, 2, 2]
-    # They go through the stack the builder makes: doubled images fail.
+    # They go through the stack `_assemble` makes: doubled images fail.
     fill = concrete._fill
 
     def doubled(out, parts, plan):
