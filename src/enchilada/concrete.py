@@ -144,17 +144,6 @@ class ConcreteModule:
         )
 
 
-def _dtype(*arrays) -> type:
-    """float when every array holds real data (bool, integer or floating
-    dtype), complex otherwise.  A float64 array holds a real-valued complex
-    matrix exactly, so real actions skip complex arithmetic and the module
-    stays a complex module (see DECISIONS.md)."""
-    for arr in arrays:
-        if arr.dtype.kind not in "biuf":
-            return complex
-    return float
-
-
 class _Plan:
     """Fiber stack rows over a source with these blocks: unit (i, p, q) at
     off[i] + p n_i + q.  `checks`, built when a nonzero fiber is first
@@ -208,14 +197,13 @@ _plan = functools.lru_cache(maxsize=128)(_Plan)
 class ConcreteCorr:
     """A concrete module plus a left action, stored as matrix-unit images.
 
-    Fiber j is a direct sum, a tuple of parts (mu, summand): mu >= 1 copies,
-    copy-major, of a read-only (sum_i n_i^2, e, e) stack of the images of all
-    source matrix units, unit (i, p, q) at row off_i + p n_i + q; of an int i,
-    the identity representation of source block i; or of a nested fiber.
-    `_stacks[j]`, the fiber as one stack of dtype `_dtypes[j]`, and action[j][i],
-    the read-only (n_i, n_i, d_j, d_j) view of block i's rows, are made on first
-    use.  The constructor stores one part (1, stack) per fiber, copying the
-    arrays given: float64 when each array of the fiber is real, else complex128.
+    A fiber is a read-only (sum_i n_i^2, e, e) stack of the images of all
+    source matrix units, unit (i, p, q) at row off_i + p n_i + q, as the
+    constructor copies it (float64 unless an array is complex, DECISIONS.md),
+    or a tuple of parts (mu, summand): mu >= 1 copies, copy-major, of an int i,
+    the identity representation of source block i, or of a fiber.  `_stacks[j]`,
+    fiber j as one stack of dtype `_dtypes[j]`, and action[j][i], the read-only
+    (n_i, n_i, d_j, d_j) view of block i's rows, are made on first use.
     """
 
     source: FdCStarAlgebra
@@ -232,7 +220,8 @@ class ConcreteCorr:
             if len(per) != len(blocks):
                 raise ValidationError("one unit-image array per source block required")
             d = self.module.fiber_dims[j]
-            stack = np.empty((off[-1], d, d), dtype=_dtype(*per))
+            real = all(arr.dtype.kind in "biuf" for arr in per)  # bool, int or float
+            stack = np.empty((off[-1], d, d), dtype=float if real else complex)
             for i, (arr, n) in enumerate(zip(per, blocks)):
                 if arr.shape != (n, n, d, d):
                     raise ValidationError(
@@ -242,14 +231,12 @@ class ConcreteCorr:
                 stack[off[i] : off[i + 1]] = arr.reshape(n * n, d, d)
             stack.setflags(write=False)
             stacks.append(stack)
-        fibers, dtypes = tuple(((1, s),) for s in stacks), tuple(s.dtype for s in stacks)
-        self.__dict__.update(_stacks=tuple(stacks), _fibers=fibers, _dtypes=dtypes)
+        self.__dict__["_stacks"] = self.__dict__["_fibers"] = tuple(stacks)
         del self.__dict__["action"]  # the views are made on first use
 
     @classmethod
     def _trusted(cls, source, target, dims, fibers, dtype) -> ConcreteCorr:
-        """From fibers of parts that no caller holds, with stacks of this dtype:
-        no check but MAX_ACTION_ENTRIES, which precedes any allocation."""
+        """From fibers no caller holds; checks MAX_ACTION_ENTRIES before any allocation."""
         entries = sum(n * n for n in source.blocks) * sum(d * d for d in dims)
         if entries > MAX_ACTION_ENTRIES:
             raise ValidationError(
@@ -260,6 +247,8 @@ class ConcreteCorr:
         dtypes = (dtype,) * len(fibers)
         x.__dict__.update(source=source, module=module, _fibers=fibers, _dtypes=dtypes)
         return x
+
+    _dtypes = functools.cached_property(lambda self: tuple(s.dtype for s in self._stacks))
 
     @functools.cached_property
     def _stacks(self) -> tuple[np.ndarray, ...]:
@@ -284,7 +273,7 @@ class ConcreteCorr:
     def action_matrix(self, j: int, a: AlgebraElement) -> np.ndarray:
         """The operator on fiber j induced by an algebra element."""
         stack, d = self._stacks[j], self.module.fiber_dims[j]
-        # float64 when the element and the stack are real, as in _dtype.
+        # float64 when the element and the stack are real.
         flat = [np.asarray(ai).reshape(n * n) for ai, n in zip(a, self.source.blocks)]
         flat = np.concatenate([np.zeros(0), *flat])
         return (flat @ stack.reshape(len(stack), d * d)).reshape(d, d)
@@ -296,9 +285,9 @@ class ConcreteCorr:
 
 
 def _fill(out: np.ndarray, parts, plan: _Plan) -> int:
-    # Writes the parts' copies on the diagonal of the zeroed stack out and
-    # returns their width: each first copy from the summand's parts, its stack
-    # or, for block i's identity, E_pq at unit (i, p, q); the rest from it.
+    # Writes the parts' copies on the diagonal of the zeroed stack out, each
+    # first copy from its summand (E_pq at unit (i, p, q) for block i), the rest
+    # from that copy, and returns their width.
     start = 0
     for mu, s in parts:
         first = out[:, start:, start:]
@@ -400,13 +389,14 @@ def _generic(checks, stack, units) -> float:
 
 
 def _leaves(parts, mu: int = 1, out=None) -> dict:
-    # Each stack and identity block in parts, nested too: id -> [summand, multiplicity].
+    # Each stack and identity block in parts, nested too: key -> [summand,
+    # multiplicity]. Blocks are keyed by value, stacks by identity.
     out = {} if out is None else out
     for m, s in parts:
         if isinstance(s, tuple):
             _leaves(s, mu * m, out)
         else:
-            out.setdefault(id(s), [s, 0])[1] += mu * m
+            out.setdefault((s,) if isinstance(s, int) else id(s), [s, 0])[1] += mu * m
     return out
 
 
@@ -415,14 +405,19 @@ def _report(x: ConcreteCorr, measure, plan: _Plan) -> ValidationReport:
     # identity summands new on a fiber as one sum no wider than it: a summation
     # product gives the P_i and their sum, which is nondegeneracy; measure the
     # multiplicativity, and with it e_{1p}^* = e_{p1} gives every adjoint.
-    seen, stacks = {}, []
-    for parts in x._fibers:
-        leaves = _leaves(parts)
-        new = [s for key, (s, _) in leaves.items() if key not in seen]
-        seen.update(leaves)
-        stacks += [s for s in new if not isinstance(s, int)]
-        if ids := tuple((1, i) for i in new if isinstance(i, int)):
-            stacks.append(_assemble(plan, ids, sum(plan.blocks[i] for _, i in ids), np.float64))
+    seen, stacks = set(), []
+    for fiber in x._fibers:
+        if isinstance(fiber, np.ndarray):  # one stack, as the constructor stores
+            stacks.append(fiber)
+            continue
+        ids = []
+        for key, (s, _) in _leaves(fiber).items():
+            if key not in seen:
+                seen.add(key)
+                (ids if isinstance(s, int) else stacks).append(s)
+        if ids:
+            d = sum(plan.blocks[i] for i in ids)
+            stacks.append(_assemble(plan, tuple((1, i) for i in ids), d, np.float64))
     mult = adjoint = nondegeneracy = 0.0
     for stack in stacks:
         d = stack.shape[1]
@@ -455,6 +450,19 @@ def validate(x: ConcreteCorr) -> ValidationReport:
     return _report(x, _relations, _plan(x.source.blocks))
 
 
+def _traces(fiber, plan: _Plan) -> list:
+    # The traces of the e_{i11} images on a fiber; they add over its parts.
+    if isinstance(fiber, np.ndarray):
+        return fiber[plan.off[:-1]].trace(axis1=1, axis2=2).tolist()
+    tr = [0.0] * len(plan.blocks)
+    for s, mu in _leaves(fiber).values():
+        if isinstance(s, int):
+            tr[s] += mu  # block s's identity: trace 1 at i = s, 0 elsewhere
+        else:
+            tr = [a + mu * b for a, b in zip(tr, _traces(s, plan))]
+    return tr
+
+
 def classify(x: ConcreteCorr) -> CorrClass:
     """Extract the multiplicity matrix of a validated concrete correspondence.
 
@@ -471,14 +479,7 @@ def classify(x: ConcreteCorr) -> CorrClass:
             f"action fails validation: {report.failures()} "
             f"(max violation {report.max_violation:.3e})"
         )
-    # Traces of the e_{i11} images add over parts; block k's identity has 1 at k.
-    eye, traces = np.eye(x.source.block_count), []
-    for parts in x._fibers:
-        tr = np.zeros(len(eye))
-        for s, mu in _leaves(parts).values():
-            t = eye[s] if isinstance(s, int) else s[plan.off[:-1]].trace(axis1=1, axis2=2)
-            tr = tr + mu * t
-        traces.append(tr.tolist())
+    traces = [_traces(fiber, plan) for fiber in x._fibers]
     rows = []
     for i in range(x.source.block_count):
         row = []
@@ -502,7 +503,6 @@ def _gram_spectra(
     of middle block j on fiber l of y, float64 for a real action.  Returns
     the largest eigenvalue (0.0 for no block) and the null cutoff
     null_tol * max(1, norm), after checking positivity against that cutoff.
-    null_tol must lie in (0, 1).
     """
     if not 0.0 < null_tol < 1.0:
         raise ValidationError(f"null_tol must lie in (0, 1), got {null_tol!r}")

@@ -148,8 +148,10 @@ def test_validate_memory_stays_near_its_input():
     # M_4 + M_4 -> C with k = (64, 64): a 512-dimensional fiber and 67 MB of
     # action, near MAX_ACTION_ENTRIES.  The gathered products go in chunks,
     # so validate's peak stays below the 79.7 MB that the per-block loop it
-    # replaced allocated here; one unchunked gather takes about 426 MB.
-    x = realize(CorrClass(make_algebra([4, 4]), C1, ((64,), (64,))))
+    # replaced allocated here; one unchunked gather takes about 426 MB.  The
+    # single-stack copy is validated: the realization itself is checked as a
+    # small identity sum, which needs no chunks.
+    x = _single_stack(realize(CorrClass(make_algebra([4, 4]), C1, ((64,), (64,)))))
     assert sum(arr.nbytes for arr in x._stacks) == 32 * 512 * 512 * 8
     report, peak = _traced_peak(validate, x)
     assert report.ok
@@ -159,9 +161,10 @@ def test_validate_memory_stays_near_its_input():
 def test_chunked_products_match_one_chunk(monkeypatch):
     # M_4 + M_4 -> C with k = (32, 32): 64 relation rows of 256 x 256, so the
     # default budget takes four chunks.  The report matches the exhaustive
-    # loops on the realization, and on a perturbed copy it is the same for
-    # one row per chunk, the default and a single chunk.
-    x = realize(CorrClass(make_algebra([4, 4]), C1, ((32,), (32,))))
+    # loops on the realization's single-stack copy (the realization itself is
+    # checked as a small identity sum), and on a perturbed copy it is the same
+    # for one row per chunk, the default and a single chunk.
+    x = _single_stack(realize(CorrClass(make_algebra([4, 4]), C1, ((32,), (32,)))))
     assert x.module.fiber_dims == (256,)
     assert 2 * 32 * 256**2 == 4 * concrete._CHUNK_ENTRIES
     assert _assert_validators_bounded_by_loops(x).ok
@@ -1001,41 +1004,44 @@ def test_assemble_places_copies_copy_major():
         )
         if case % 2:
             x = _rotate(x, rng, orthogonal=False)
-        elif case % 4 == 2:
-            # Only fiber 0 complex: the constructor keeps a dtype per fiber.
+        lefts = [x]
+        if case % 4 == 2 and x.action:
+            # Also a copy complex in fiber 0 only: the constructor keeps a
+            # dtype per fiber, the tensor one dtype throughout.
             action = [list(per) for per in x.action]
-            if action:
-                action[0] = [arr.astype(complex) for arr in action[0]]
-            x = ConcreteCorr(x.source, x.module, tuple(map(tuple, action)))
-        t = InteriorTensor(x, realize(l)).corr
-        _assert_action_equals(
-            t,
-            _copy_major_action(
-                a,
-                [
-                    [(l.matrix[j][m], x.action[j]) for j in range(b.block_count)]
-                    for m in range(c.block_count)
-                ],
-            ),
-        )
-        # The tensor of the tensor holds L2[m][n] copies of fiber m of t, whose
-        # own parts are nested fibers of x; it too takes one dtype throughout.
+            action[0] = [arr.astype(complex) for arr in action[0]]
+            lefts.append(ConcreteCorr(x.source, x.module, tuple(map(tuple, action))))
         d = random_algebra(nested_rng, zero_prob=0.0)
         l2 = random_corr(nested_rng, c, d)
-        t2 = InteriorTensor(t, realize(l2)).corr
-        _assert_action_equals(
-            t2,
-            _copy_major_action(
-                a,
-                [
-                    [(l2.matrix[m][n], t.action[m]) for m in range(c.block_count)]
-                    for n in range(d.block_count)
-                ],
-            ),
-        )
+        for left in lefts:
+            t = InteriorTensor(left, realize(l)).corr
+            _assert_action_equals(
+                t,
+                _copy_major_action(
+                    a,
+                    [
+                        [(l.matrix[j][m], left.action[j]) for j in range(b.block_count)]
+                        for m in range(c.block_count)
+                    ],
+                ),
+            )
+            # The tensor of the tensor holds L2[m][n] copies of fiber m of t,
+            # whose own parts are nested fibers of the left factor.
+            t2 = InteriorTensor(t, realize(l2)).corr
+            _assert_action_equals(
+                t2,
+                _copy_major_action(
+                    a,
+                    [
+                        [(l2.matrix[m][n], t.action[m]) for m in range(c.block_count)]
+                        for n in range(d.block_count)
+                    ],
+                ),
+            )
+            nested += any(t2.module.fiber_dims)
+            if left is x:
+                zero_fibers += 0 in x.module.fiber_dims + t.module.fiber_dims
         zero_entries += any(0 in row for row in k.matrix + l.matrix)
-        zero_fibers += 0 in x.module.fiber_dims + t.module.fiber_dims
-        nested += any(t2.module.fiber_dims)
     assert zero_entries > 20 and zero_fibers > 10 and nested > 20
 
 
@@ -1139,10 +1145,8 @@ def test_stacks_are_built_only_when_read():
     _assert_action_equals(t, _copy_major_action(x.source, [[(3, x.action[0])]]))
 
 
-def test_identity_summands_are_checked_as_built(monkeypatch):
-    # realize stores identity summands, and the report checks those new on a
-    # fiber as one sum no wider than the fiber: on the identity of M_2^4,
-    # four sums of width 2, not one of width 8.
+def _assembled_widths(monkeypatch):
+    # The fiber width of every stack `_assemble` builds from now on.
     assemble, widths = concrete._assemble, []
 
     def spy(plan, parts, d, dtype):
@@ -1150,6 +1154,14 @@ def test_identity_summands_are_checked_as_built(monkeypatch):
         return assemble(plan, parts, d, dtype)
 
     monkeypatch.setattr(concrete, "_assemble", spy)
+    return widths
+
+
+def test_identity_summands_are_checked_as_built(monkeypatch):
+    # realize stores identity summands, and the report checks those new on a
+    # fiber as one sum no wider than the fiber: on the identity of M_2^4,
+    # four sums of width 2, not one of width 8.
+    widths = _assembled_widths(monkeypatch)
     assert validate(realize(identity_corr(make_algebra([2, 2, 2, 2])))).ok
     assert widths == [2, 2, 2, 2]
     # They go through the stack `_assemble` makes: doubled images fail.
@@ -1166,6 +1178,22 @@ def test_identity_summands_are_checked_as_built(monkeypatch):
     assert validate(x).failures() == ["star-multiplicativity", "nondegeneracy"]
     with pytest.raises(ValidationError, match="action fails validation"):
         classify(x)
+
+
+def test_identity_blocks_are_one_summand_whatever_their_index(monkeypatch):
+    # realize makes a new int for a block index on each fiber, and above the
+    # interpreter's small-int cache equal indices are distinct objects.  Keyed
+    # by value, block 299 on both fibers of x, and twice on the one fiber of
+    # its tensor, is still one identity summand: one sum of width 1.
+    a = make_algebra([1] * 300)
+    x = realize(CorrClass(a, C2, tuple((i // 299,) * 2 for i in range(300))))
+    t = InteriorTensor(x, realize(CorrClass(C2, C1, ((1,), (1,))))).corr
+    widths = _assembled_widths(monkeypatch)
+    for corr in (x, t):
+        widths.clear()
+        assert validate(corr).ok
+        assert widths == [1]
+    assert classify(t) == CorrClass(a, C1, tuple((2 * (i // 299),) for i in range(300)))
 
 
 @pytest.mark.parametrize("null_tol", [float("nan"), -1.0, 0.0, 1.0, 2.0])
