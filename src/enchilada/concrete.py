@@ -6,10 +6,13 @@ product <x, y> = x_j^* y_j and right action by matrix multiplication.  A
 concrete correspondence stores such a module together with the images of
 every source matrix unit under the left action.
 
-This module is the measurement side of the package: tensor products are
-computed through an explicit Gram quotient and multiplicities through
-traces of minimal-projection images, so the symbolic matrix calculus can be
-cross-checked against floating-point reality instead of against itself.
+Tensor products go through an explicit Gram quotient, whose spectra count
+the copies of each fiber in the quotient, and `classify` reads
+multiplicities as traces of minimal-projection images.  On factors made by
+`realize`, those traces and the axiom checks are bookkeeping on the stored
+parts and read the class back exactly; what is measured in floating point
+is the Gram spectra, and every action a caller builds through the
+constructor.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -148,8 +151,9 @@ class _Plan:
     """Fiber stack rows over a source with these blocks: unit (i, p, q) at
     off[i] + p n_i + q.  `checks`, built when a nonzero fiber is first
     checked, holds the axiom checks' read-only index arrays over those rows,
-    (r + 8) sum_i n_i^2 numbers at most.  _plan keeps one plan per block
-    tuple; its bound holds all 84 tuples of at most 3 blocks of size <= 4."""
+    5 N + (r + 5) S + 2 r (r - 1) numbers for N = sum_i n_i^2 and
+    S = sum_i n_i.  _plan keeps one plan per block tuple; its bound holds
+    all 84 tuples of at most 3 blocks of size <= 4."""
 
     def __init__(self, blocks: tuple[int, ...]):
         self.blocks = blocks
@@ -167,12 +171,6 @@ class _Plan:
         sums = np.vstack([block == np.arange(len(blocks))[:, None], np.ones(len(block))])
         order = np.argsort(~diag, kind="stable")  # the (R2) rows with a target first
         pair_l, pair_r = np.nonzero(~np.eye(len(blocks), dtype=bool))
-        # classify's two generic real pairs (see DECISIONS.md): row t of
-        # coef @ stack is phi of the t-th of a, a', b, b', ab and a'b'.
-        rng = np.random.default_rng(0x5EED)
-        draws = zip(*([rng.standard_normal((m, m)) for m in blocks] for _ in range(4)))
-        coef = [np.reshape([a, a2, b, b2, a @ b, a2 @ b2], (6, -1)) for a, b, a2, b2 in draws]
-        coef = np.concatenate([np.zeros((6, 0)), *coef], axis=1)
         checks = SimpleNamespace(
             diag=unit[diag],
             sums=sums,
@@ -183,7 +181,6 @@ class _Plan:
             target=np.concatenate([unit, base[diag]]),
             pair_l=pair_l,
             pair_r=pair_r,
-            coef=coef,
         )
         for arr in vars(checks).values():
             arr.setflags(write=False)
@@ -208,7 +205,8 @@ class ConcreteCorr:
 
     source: FdCStarAlgebra
     module: ConcreteModule
-    action: tuple[tuple[np.ndarray, ...], ...]
+    # Out of the repr, which would otherwise build every stack.
+    action: tuple[tuple[np.ndarray, ...], ...] = field(repr=False)
 
     def __post_init__(self):
         acts = tuple(tuple(map(np.asarray, per)) for per in self.action)
@@ -371,23 +369,6 @@ def _residual(a, left, right, target) -> float:
     return worst
 
 
-def _relations(checks, stack, units) -> float:
-    # (R1) e_pq = e_p1 e_1q and (R2) e_1p e_q1 = delta_pq e_11 in each block and
-    # (R3) P_i P_k = 0 across blocks imply every product relation (DECISIONS.md).
-    return max(
-        _residual(stack, checks.left, checks.right, checks.target),
-        _residual(units, checks.pair_l, checks.pair_r, checks.pair_l[:0]),
-    )
-
-
-def _generic(checks, stack, units) -> float:
-    d = stack.shape[1]
-    m = (checks.coef @ stack.reshape(-1, d * d)).reshape(6, d, d)
-    prod = m[0:2] @ m[2:4]
-    prod -= m[4:6]
-    return _max_abs(prod)
-
-
 def _leaves(parts, mu: int = 1, out=None) -> dict:
     # Each stack and identity block in parts, nested too: key -> [summand,
     # multiplicity]. Blocks are keyed by value, stacks by identity.
@@ -400,11 +381,13 @@ def _leaves(parts, mu: int = 1, out=None) -> dict:
     return out
 
 
-def _report(x: ConcreteCorr, measure, plan: _Plan) -> ValidationReport:
+def _report(x: ConcreteCorr, plan: _Plan) -> ValidationReport:
     # A few batched products per distinct nonzero summand (DECISIONS.md), the
     # identity summands new on a fiber as one sum no wider than it: a summation
-    # product gives the P_i and their sum, which is nondegeneracy; measure the
-    # multiplicativity, and with it e_{1p}^* = e_{p1} gives every adjoint.
+    # product gives the P_i and their sum, which is nondegeneracy; (R1)
+    # e_pq = e_p1 e_1q and (R2) e_1p e_q1 = delta_pq e_11 in each block and
+    # (R3) P_i P_k = 0 across blocks give every product relation, and with them
+    # e_{1p}^* = e_{p1} gives every adjoint.
     seen, stacks = set(), []
     for fiber in x._fibers:
         if isinstance(fiber, np.ndarray):  # one stack, as the constructor stores
@@ -431,7 +414,12 @@ def _report(x: ConcreteCorr, measure, plan: _Plan) -> ValidationReport:
         diff = stack[checks.col0]
         diff -= stack[checks.row0].conj().swapaxes(1, 2)
         adjoint = max(adjoint, _max_abs(diff))
-        mult = max(mult, measure(checks, stack, sums[:-1].reshape(-1, d, d)))
+        units = sums[:-1].reshape(-1, d, d)
+        mult = max(
+            mult,
+            _residual(stack, checks.left, checks.right, checks.target),
+            _residual(units, checks.pair_l, checks.pair_r, checks.pair_l[:0]),
+        )
     names = ("star-multiplicativity", "star-adjoint", "nondegeneracy")
     checks = map(AxiomCheck, names, (mult, adjoint, nondegeneracy))
     return ValidationReport(tuple(checks), VALIDATE_TOL)
@@ -447,7 +435,7 @@ def validate(x: ConcreteCorr) -> ValidationReport:
     identity on each nonzero fiber.  An action passes when no violation
     exceeds VALIDATE_TOL; a zero module passes vacuously.
     """
-    return _report(x, _relations, _plan(x.source.blocks))
+    return _report(x, _plan(x.source.blocks))
 
 
 def _traces(fiber, plan: _Plan) -> list:
@@ -466,14 +454,13 @@ def _traces(fiber, plan: _Plan) -> list:
 def classify(x: ConcreteCorr) -> CorrClass:
     """Extract the multiplicity matrix of a validated concrete correspondence.
 
-    The action is validated as in `validate`, except that multiplicativity is
-    measured on two fixed generic pairs, which is faster on large fibers.
-    k_{ij} is the rank of the image on fiber j of a minimal projection of
-    source block i; since that image is a projection, the rank is its trace,
-    which must lie within CLASSIFY_TOL of an integer.
+    The action must pass `validate`, whose failures and largest violation a
+    refusal names.  k_{ij} is the rank of the image on fiber j of a minimal
+    projection of source block i; since that image is a projection, the rank
+    is its trace, which must lie within CLASSIFY_TOL of an integer.
     """
     plan = _plan(x.source.blocks)
-    report = _report(x, _generic, plan)
+    report = _report(x, plan)
     if not report.ok:
         raise ValidationError(
             f"action fails validation: {report.failures()} "
@@ -661,7 +648,7 @@ def compacts_span_defect(x: ConcreteCorr) -> float:
     units of each fiber algebra M_{d_j} (theta_{u,v} = delta_{pq} E_{ab} for
     u = E_{ap}, v = E_{bq}) or 0, so the targets are the identity of their sum.
     Zero (within tolerance) exactly when the class is a Hilbert bimodule; the
-    solved coefficients then define the left inner product via
+    least-squares solution then defines the left inner product via
     <x, y>_left = phi^{-1}(theta_{x,y}).
     """
     dims = x.module.fiber_dims
