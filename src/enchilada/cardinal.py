@@ -38,4 +38,4 @@ def card(value) -> int | float:
         raise ValidationError(f'multiplicity must be an integer or "inf", got {value!r}')
     if value < 0:
         raise ValidationError(f"multiplicity must be non-negative, got {value}")
-    return value
+    return int(value)

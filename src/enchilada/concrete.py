@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -190,79 +190,80 @@ class _Plan:
 _plan = functools.lru_cache(maxsize=128)(_Plan)
 
 
-@dataclass(frozen=True, eq=False)
+def _check_size(blocks: tuple[int, ...], dims: tuple[int, ...]) -> None:
+    # The size check of both construction paths, made before any allocation.
+    entries = sum(n * n for n in blocks) * sum(d * d for d in dims)
+    if entries > MAX_ACTION_ENTRIES:
+        raise ValidationError(
+            f"the unit-image arrays for fibers {dims} hold {entries} "
+            f"entries, which exceeds {MAX_ACTION_ENTRIES}"
+        )
+
+
 class ConcreteCorr:
     """A concrete module plus a left action, stored as matrix-unit images.
 
-    A fiber is a read-only (sum_i n_i^2, e, e) stack of the images of all
-    source matrix units, unit (i, p, q) at row off_i + p n_i + q, as the
-    constructor copies it (float64 unless an array is complex, DECISIONS.md),
-    or a tuple of parts (mu, summand): mu >= 1 copies, copy-major, of an int i,
-    the identity representation of source block i, or of a fiber.  `_stacks[j]`,
-    fiber j as one stack of dtype `_dtypes[j]`, and action[j][i], the read-only
-    (n_i, n_i, d_j, d_j) view of block i's rows, are made on first use.
+    Each fiber is a summand: a read-only (sum_i n_i^2, e, e) stack of the
+    images of all source matrix units, unit (i, p, q) at row off_i + p n_i + q;
+    an int i, the identity representation of source block i; or a tuple of
+    parts (mu, summand), mu >= 1 copies, copy-major.  The constructor copies
+    each fiber's arrays into one stack, float64 unless one of them is complex
+    (DECISIONS.md); `realize` and the tensor product store parts.  `_stacks[j]`,
+    fiber j as one stack, and action[j][i], the read-only (n_i, n_i, d_j, d_j)
+    view of block i's rows, are made on first use.  Instances are immutable.
     """
 
-    source: FdCStarAlgebra
-    module: ConcreteModule
-    # Out of the repr, which would otherwise build every stack.
-    action: tuple[tuple[np.ndarray, ...], ...] = field(repr=False)
-
-    def __post_init__(self):
-        acts = tuple(tuple(map(np.asarray, per)) for per in self.action)
-        if len(acts) != self.module.target.block_count:
+    def __init__(self, source: FdCStarAlgebra, module: ConcreteModule, action):
+        acts = tuple(tuple(map(np.asarray, per)) for per in action)
+        if len(acts) != module.target.block_count:
             raise ValidationError("one action table per target block required")
-        blocks, off = self.source.blocks, _plan(self.source.blocks).off
-        stacks = []
-        for j, per in enumerate(acts):
+        blocks, dims = source.blocks, module.fiber_dims
+        for j, (per, d) in enumerate(zip(acts, dims)):
             if len(per) != len(blocks):
                 raise ValidationError("one unit-image array per source block required")
-            d = self.module.fiber_dims[j]
-            real = all(arr.dtype.kind in "biuf" for arr in per)  # bool, int or float
-            stack = np.empty((off[-1], d, d), dtype=float if real else complex)
             for i, (arr, n) in enumerate(zip(per, blocks)):
                 if arr.shape != (n, n, d, d):
                     raise ValidationError(
                         f"unit images for block {i} on fiber {j} have shape "
                         f"{arr.shape}, expected {(n, n, d, d)}"
                     )
+        _check_size(blocks, dims)
+        off, stacks = _plan(blocks).off, []
+        for per, d in zip(acts, dims):
+            real = all(arr.dtype.kind in "biuf" for arr in per)  # bool, int or float
+            stack = np.empty((off[-1], d, d), dtype=float if real else complex)
+            for i, (arr, n) in enumerate(zip(per, blocks)):
                 stack[off[i] : off[i + 1]] = arr.reshape(n * n, d, d)
             stack.setflags(write=False)
             stacks.append(stack)
-        self.__dict__["_stacks"] = self.__dict__["_fibers"] = tuple(stacks)
-        del self.__dict__["action"]  # the views are made on first use
+        vars(self).update(source=source, module=module, _fibers=tuple(stacks))
 
     @classmethod
-    def _trusted(cls, source, target, dims, fibers, dtype) -> ConcreteCorr:
-        """From fibers no caller holds; checks MAX_ACTION_ENTRIES before any allocation."""
-        entries = sum(n * n for n in source.blocks) * sum(d * d for d in dims)
-        if entries > MAX_ACTION_ENTRIES:
-            raise ValidationError(
-                f"the unit-image arrays for fibers {dims} hold {entries} "
-                f"entries, which exceeds {MAX_ACTION_ENTRIES}"
-            )
-        x, module = object.__new__(cls), ConcreteModule(target, dims)
-        dtypes = (dtype,) * len(fibers)
-        x.__dict__.update(source=source, module=module, _fibers=fibers, _dtypes=dtypes)
+    def _trusted(cls, source, target, dims, fibers) -> ConcreteCorr:
+        """From summands no caller holds."""
+        _check_size(source.blocks, dims)
+        x = object.__new__(cls)
+        vars(x).update(source=source, module=ConcreteModule(target, dims), _fibers=fibers)
         return x
 
-    _dtypes = functools.cached_property(lambda self: tuple(s.dtype for s in self._stacks))
+    def __setattr__(self, name, *value):
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:  # without the action, which would build every stack
+        return f"{type(self).__qualname__}(source={self.source!r}, module={self.module!r})"
 
     @functools.cached_property
     def _stacks(self) -> tuple[np.ndarray, ...]:
-        args = (self._fibers, self.module.fiber_dims, self._dtypes)
-        return tuple(map(functools.partial(_assemble, _plan(self.source.blocks)), *args))
+        plan = _plan(self.source.blocks)
+        return tuple(_assemble(plan, s, d) for s, d in zip(self._fibers, self.module.fiber_dims))
 
-    def __getattr__(self, name):
-        # Called only for attributes not set: action[j][i] is made on first
-        # use, as the (n_i, n_i, d_j, d_j) view of block i's rows in stack j.
-        if name != "action":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    @functools.cached_property
+    def action(self) -> tuple[tuple[np.ndarray, ...], ...]:
         off = _plan(self.source.blocks).off
         rows = [(slice(off[i], off[i + 1]), (n, n)) for i, n in enumerate(self.source.blocks)]
-        views = tuple(tuple(s[r].reshape(k + s.shape[1:]) for r, k in rows) for s in self._stacks)
-        self.__dict__["action"] = views  # frozen only blocks setattr
-        return views
+        return tuple(tuple(s[r].reshape(k + s.shape[1:]) for r, k in rows) for s in self._stacks)
 
     @property
     def target(self) -> FdCStarAlgebra:
@@ -282,31 +283,47 @@ class ConcreteCorr:
         return tuple(self.action_matrix(j, a) @ xj for j, xj in enumerate(x))
 
 
-def _fill(out: np.ndarray, parts, plan: _Plan) -> int:
-    # Writes the parts' copies on the diagonal of the zeroed stack out, each
-    # first copy from its summand (E_pq at unit (i, p, q) for block i), the rest
-    # from that copy, and returns their width.
+def _leaves(s, mu: int = 1, out=None) -> dict:
+    # Each stack and identity block of summand s, nested too: key -> [leaf,
+    # multiplicity]. Blocks are keyed by value, stacks by identity.
+    out = {} if out is None else out
+    if isinstance(s, tuple):
+        for m, part in s:
+            _leaves(part, mu * m, out)
+    else:
+        out.setdefault((s,) if isinstance(s, int) else id(s), [s, 0])[1] += mu
+    return out
+
+
+def _fill(out: np.ndarray, s, plan: _Plan) -> int:
+    # Writes summand s at the top left of the zeroed stack out and returns its
+    # width: a stack as it is, block i's identity as E_pq at unit (i, p, q),
+    # and parts copy-major, each first copy from its summand, the rest from it.
+    if isinstance(s, int):
+        e = plan.blocks[s]
+        out[plan.off[s] : plan.off[s + 1], :e, :e] = np.eye(e * e).reshape(e * e, e, e)
+        return e
+    if not isinstance(s, tuple):  # a stack
+        out[:, : s.shape[1], : s.shape[1]] = s
+        return s.shape[1]
     start = 0
-    for mu, s in parts:
+    for mu, part in s:
         first = out[:, start:, start:]
-        if isinstance(s, tuple):
-            e = _fill(first, s, plan)
-        elif isinstance(s, int):
-            e = plan.blocks[s]
-            first[plan.off[s] : plan.off[s + 1], :e, :e] = np.eye(e * e).reshape(e * e, e, e)
-        else:
-            e = s.shape[1]
-            first[:, :e, :e] = s
+        e = _fill(first, part, plan)
         for o in range(start + e, start + mu * e, max(e, 1)):
             out[:, o : o + e, o : o + e] = first[:, :e, :e]
         start += mu * e
     return start
 
 
-def _assemble(plan: _Plan, parts, d: int, dtype) -> np.ndarray:
-    """The read-only stack of a fiber of these parts and dimension d."""
-    stack = np.zeros((plan.off[-1], d, d), dtype=dtype)
-    _fill(stack, parts, plan)
+def _assemble(plan: _Plan, s, d: int) -> np.ndarray:
+    """The read-only stack of summand s, of width d: a stack is its own, and
+    any other is built float64 unless a stack among its leaves is complex."""
+    if isinstance(s, np.ndarray):
+        return s
+    wide = any(not isinstance(v, int) and v.dtype.kind == "c" for v, _ in _leaves(s).values())
+    stack = np.zeros((plan.off[-1], d, d), dtype=complex if wide else float)
+    _fill(stack, s, plan)
     stack.setflags(write=False)
     return stack
 
@@ -321,11 +338,9 @@ def realize(kind: CorrClass) -> ConcreteCorr:
     if not kind.all_finite:
         raise ValidationError("cannot realize a class with infinite multiplicities")
     a, b, k = kind.source, kind.target, kind.matrix
-    fibers = tuple(
-        tuple((row[j], i) for i, row in enumerate(k) if row[j]) for j in range(b.block_count)
-    )
+    fibers = tuple(tuple((r[j], i) for i, r in enumerate(k) if r[j]) for j in range(b.block_count))
     dims = tuple(sum(mu * a.blocks[i] for mu, i in parts) for parts in fibers)
-    return ConcreteCorr._trusted(a, b, dims, fibers, np.float64)
+    return ConcreteCorr._trusted(a, b, dims, fibers)
 
 
 @dataclass(frozen=True)
@@ -369,38 +384,23 @@ def _residual(a, left, right, target) -> float:
     return worst
 
 
-def _leaves(parts, mu: int = 1, out=None) -> dict:
-    # Each stack and identity block in parts, nested too: key -> [summand,
-    # multiplicity]. Blocks are keyed by value, stacks by identity.
-    out = {} if out is None else out
-    for m, s in parts:
-        if isinstance(s, tuple):
-            _leaves(s, mu * m, out)
-        else:
-            out.setdefault((s,) if isinstance(s, int) else id(s), [s, 0])[1] += mu * m
-    return out
-
-
-def _report(x: ConcreteCorr, plan: _Plan) -> ValidationReport:
+def _report(plan: _Plan, tables) -> ValidationReport:
     # A few batched products per distinct nonzero summand (DECISIONS.md), the
     # identity summands new on a fiber as one sum no wider than it: a summation
     # product gives the P_i and their sum, which is nondegeneracy; (R1)
     # e_pq = e_p1 e_1q and (R2) e_1p e_q1 = delta_pq e_11 in each block and
     # (R3) P_i P_k = 0 across blocks give every product relation, and with them
-    # e_{1p}^* = e_{p1} gives every adjoint.
+    # e_{1p}^* = e_{p1} gives every adjoint.  tables holds each fiber's leaves.
     seen, stacks = set(), []
-    for fiber in x._fibers:
-        if isinstance(fiber, np.ndarray):  # one stack, as the constructor stores
-            stacks.append(fiber)
-            continue
+    for table in tables:
         ids = []
-        for key, (s, _) in _leaves(fiber).items():
+        for key, (s, _) in table.items():
             if key not in seen:
                 seen.add(key)
                 (ids if isinstance(s, int) else stacks).append(s)
         if ids:
             d = sum(plan.blocks[i] for i in ids)
-            stacks.append(_assemble(plan, tuple((1, i) for i in ids), d, np.float64))
+            stacks.append(_assemble(plan, tuple((1, i) for i in ids), d))
     mult = adjoint = nondegeneracy = 0.0
     for stack in stacks:
         d = stack.shape[1]
@@ -435,19 +435,17 @@ def validate(x: ConcreteCorr) -> ValidationReport:
     identity on each nonzero fiber.  An action passes when no violation
     exceeds VALIDATE_TOL; a zero module passes vacuously.
     """
-    return _report(x, _plan(x.source.blocks))
+    return _report(_plan(x.source.blocks), map(_leaves, x._fibers))
 
 
-def _traces(fiber, plan: _Plan) -> list:
-    # The traces of the e_{i11} images on a fiber; they add over its parts.
-    if isinstance(fiber, np.ndarray):
-        return fiber[plan.off[:-1]].trace(axis1=1, axis2=2).tolist()
+def _traces(table: dict, plan: _Plan) -> list:
+    # The traces of the e_{i11} images on a fiber with these leaves: their sum.
     tr = [0.0] * len(plan.blocks)
-    for s, mu in _leaves(fiber).values():
+    for s, mu in table.values():
         if isinstance(s, int):
             tr[s] += mu  # block s's identity: trace 1 at i = s, 0 elsewhere
         else:
-            tr = [a + mu * b for a, b in zip(tr, _traces(s, plan))]
+            tr = [a + mu * b for a, b in zip(tr, s[plan.off[:-1]].trace(axis1=1, axis2=2).tolist())]
     return tr
 
 
@@ -459,14 +457,14 @@ def classify(x: ConcreteCorr) -> CorrClass:
     projection of source block i; since that image is a projection, the rank
     is its trace, which must lie within CLASSIFY_TOL of an integer.
     """
-    plan = _plan(x.source.blocks)
-    report = _report(x, plan)
+    plan, tables = _plan(x.source.blocks), [_leaves(fiber) for fiber in x._fibers]
+    report = _report(plan, tables)
     if not report.ok:
         raise ValidationError(
             f"action fails validation: {report.failures()} "
             f"(max violation {report.max_violation:.3e})"
         )
-    traces = [_traces(fiber, plan) for fiber in x._fibers]
+    traces = [_traces(table, plan) for table in tables]
     rows = []
     for i in range(x.source.block_count):
         row = []
@@ -551,8 +549,7 @@ class InteriorTensor:
                 layout[l].append((j, mu, r))
         dims = tuple(sum(mu * x.module.fiber_dims[j] for j, mu, _ in p) for p in layout)
         fibers = tuple(tuple((mu, x._fibers[j]) for j, mu, _ in p) for p in layout)
-        dtype = np.result_type(np.float64, *(x._dtypes[j] for p in layout for j, *_ in p))
-        self.corr = ConcreteCorr._trusted(x.source, y.target, dims, fibers, dtype)
+        self.corr = ConcreteCorr._trusted(x.source, y.target, dims, fibers)
 
     @functools.cached_property
     def _weights(self):

@@ -26,8 +26,9 @@ __all__ = [
     "MAX_BLOCKS",
 ]
 
-# The most blocks an algebra read from JSON may have: composing two classes
-# between such algebras already takes on the order of a second.
+# The most blocks an algebra read from JSON may have: two classes between such
+# algebras compose in tens of milliseconds through numpy, and in about a second
+# in the exact loop that compose falls back to once an entry reaches 2^53.
 MAX_BLOCKS = 256
 
 

@@ -1,3 +1,4 @@
+import enum
 import math
 
 import pytest
@@ -26,6 +27,17 @@ def test_arithmetic_table():
     assert ref.INF * ref.INF == ref.INF
     assert Cardinal(2) + Cardinal(3) == Cardinal(5)
     assert Cardinal(2) * Cardinal(3) == Cardinal(6)
+
+
+def test_int_subclass_entries_are_stored_as_plain_ints():
+    # card passes a plain int through and converts an int subclass, so a
+    # class holds plain ints whatever entries it was built from.
+    class Level(enum.IntEnum):
+        TWO = 2
+
+    assert type(card(Level.TWO)) is int and card(Level.TWO) == 2
+    x = CorrClass(make_algebra([1]), make_algebra([1, 1]), ((Level.TWO, 0),))
+    assert [type(v) for v in x.matrix[0]] == [int, int] and x.matrix == ((2, 0),)
 
 
 def test_coercion_and_equality():

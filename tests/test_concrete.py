@@ -927,11 +927,12 @@ def _block_diagonal(mats, dtype):
 def _copy_major_action(source, fibers):
     # fibers[l] lists parts (mu, per), per[i] the (n_i, n_i, e, e) images of
     # block i: unit (p, q) of block i acts on fiber l as the block-diagonal sum
-    # of np.kron(np.eye(mu), per[i][p, q]) over the parts.  The arrays are
-    # complex when some image that enters is.
+    # of np.kron(np.eye(mu), per[i][p, q]) over the parts.  A fiber's arrays
+    # are complex when some image that enters it is.
     fibers = [[(mu, per) for mu, per in parts if mu and per[0].shape[2]] for parts in fibers]
-    images = (arr for parts in fibers for _, per in parts for arr in per)
-    dtype = np.result_type(np.float64, *images)
+    dtypes = [
+        np.result_type(np.float64, *(arr for _, per in parts for arr in per)) for parts in fibers
+    ]
     return tuple(
         tuple(
             np.array(
@@ -947,7 +948,7 @@ def _copy_major_action(source, fibers):
             )
             for i, n in enumerate(source.blocks)
         )
-        for parts in fibers
+        for parts, dtype in zip(fibers, dtypes)
     )
 
 
@@ -998,8 +999,8 @@ def test_assemble_places_copies_copy_major():
             x = _rotate(x, rng, orthogonal=False)
         lefts = [x]
         if case % 4 == 2 and x.action:
-            # Also a copy complex in fiber 0 only: the constructor keeps a
-            # dtype per fiber, the tensor one dtype throughout.
+            # Also a copy complex in fiber 0 only: the constructor and the
+            # tensor each keep a dtype per fiber.
             action = [list(per) for per in x.action]
             action[0] = [arr.astype(complex) for arr in action[0]]
             lefts.append(ConcreteCorr(x.source, x.module, tuple(map(tuple, action))))
@@ -1141,9 +1142,9 @@ def _assembled_widths(monkeypatch):
     # The fiber width of every stack `_assemble` builds from now on.
     assemble, widths = concrete._assemble, []
 
-    def spy(plan, parts, d, dtype):
+    def spy(plan, s, d):
         widths.append(d)
-        return assemble(plan, parts, d, dtype)
+        return assemble(plan, s, d)
 
     monkeypatch.setattr(concrete, "_assemble", spy)
     return widths
@@ -1369,6 +1370,65 @@ def test_action_shapes_are_checked():
     )
     with pytest.raises(ValidationError, match=message):
         ConcreteCorr(C1, ConcreteModule(C1, (2,)), ((ONE,),))
+
+
+def _refused_with_peak(source, module, action, match):
+    # The most memory the constructor allocated at once before refusing.
+    def refuse():
+        with pytest.raises(ValidationError, match=match):
+            ConcreteCorr(source, module, action)
+
+    return _traced_peak(refuse)[1]
+
+
+def test_constructor_checks_every_shape_before_it_allocates():
+    # A 1 x 1 image for a fiber declared 10^6 wide: a stack of that width
+    # would take 7.28 TiB.  The shape is named, and nothing large is made,
+    # also when the mis-shaped fiber follows a well-shaped one.
+    message = (
+        r"unit images for block 0 on fiber 0 have shape \(1, 1, 1, 1\), "
+        r"expected \(1, 1, 1000000, 1000000\)"
+    )
+    peak = _refused_with_peak(C1, ConcreteModule(C1, (10**6,)), ((ONE,),), message)
+    assert peak < 100_000
+    wide = np.broadcast_to(np.zeros(()), (1, 1, 2000, 2000))
+    message = r"block 0 on fiber 1 have shape \(1, 1, 1, 1\), expected \(1, 1, 2, 2\)"
+    peak = _refused_with_peak(C1, ConcreteModule(C2, (2000, 2)), ((wide,), (ONE,)), message)
+    assert peak < 100_000
+
+
+def test_constructor_caps_the_action_before_it_allocates(monkeypatch):
+    # M_64 -> C with a 65-wide fiber: 64^2 * 65^2 = 17,305,600 entries, over
+    # 2^24, from an 8-byte broadcast view.  realize refuses the same size,
+    # and so does the constructor, before its 138 MB stack.
+    m64 = make_algebra([64])
+    module = ConcreteModule(C1, (65,))
+    images = np.broadcast_to(np.zeros(()), (64, 64, 65, 65))
+    peak = _refused_with_peak(m64, module, ((images,),), "hold 17305600 entries, which exceeds")
+    assert peak < 100_000
+    with pytest.raises(ValidationError, match="hold 17305600 entries, which exceeds"):
+        realize(CorrClass(C1, C1, ((4160,),)))
+    # The cap is inclusive, as for realize.
+    monkeypatch.setattr(concrete, "MAX_ACTION_ENTRIES", 16)
+    x = ConcreteCorr(C1, ConcreteModule(C1, (4,)), ((np.zeros((1, 1, 4, 4)),),))
+    assert x.action[0][0].shape == (1, 1, 4, 4)
+    _refused_with_peak(C1, ConcreteModule(C1, (5,)), ((np.zeros((1, 1, 5, 5)),),), "exceeds")
+
+
+def test_concrete_corr_is_immutable_and_keeps_its_repr():
+    # Assignment and deletion raise, the action views are made once, and the
+    # repr names the endpoints and the module only.
+    x = realize(CorrClass(M2, C2, ((1, 2),)))
+    for corr in (x, _single_stack(x)):
+        with pytest.raises(AttributeError):
+            corr.source = C1
+        with pytest.raises(AttributeError):
+            del corr.module
+        assert corr.action is corr.action
+        assert repr(corr) == (
+            "ConcreteCorr(source=FdCStarAlgebra([2]), module=ConcreteModule("
+            "target=FdCStarAlgebra([1, 1]), fiber_dims=(2, 4)))"
+        )
 
 
 def test_tensor_refuses_mismatched_endpoints_and_an_indefinite_gram_form():
