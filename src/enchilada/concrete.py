@@ -478,42 +478,18 @@ def classify(x: ConcreteCorr) -> CorrClass:
     return CorrClass._trusted(x.source, x.target, tuple(rows))
 
 
-def _gram_spectra(
-    x: ConcreteCorr, y: ConcreteCorr, null_tol: float
-) -> tuple[dict[tuple[int, int], tuple[np.ndarray, np.ndarray]], float, float]:
-    """The Gram blocks of x (x) y with their spectra, the norm and the cutoff.
-
-    Maps each (right fiber l, middle block j) with both fibers nonzero to R
-    and its ascending eigenvalues; R is the symmetrized action of the units
-    of middle block j on fiber l of y, float64 for a real action.  Returns
-    the largest eigenvalue (0.0 for no block) and the null cutoff
-    null_tol * max(1, norm), after checking positivity against that cutoff.
-    """
-    if not 0.0 < null_tol < 1.0:
-        raise ValidationError(f"null_tol must lie in (0, 1), got {null_tol!r}")
-    if x.target != y.source:
-        raise ValidationError(
-            f"cannot tensor: first ends at {x.target!r}, second starts at {y.source!r}"
-        )
-    dx, ey = x.module.fiber_dims, y.module.fiber_dims
-    off = _plan(y.source.blocks).off
-    spectra = {}
-    gram_norm = 0.0
-    for l, e in enumerate(ey):
-        for j, m in enumerate(x.target.blocks):
-            if e == 0 or dx[j] == 0:
-                continue
-            r = y._stacks[l][off[j] : off[j + 1]].reshape(m, m, e, e).swapaxes(1, 2)
-            r = r.reshape(m * e, m * e)
-            r = (r + r.conj().T) / 2.0
-            lam = np.linalg.eigvalsh(r)
-            spectra[(l, j)] = (r, lam)
-            gram_norm = max(gram_norm, float(lam[-1]))
-    cut = null_tol * max(1.0, gram_norm)
-    for _r, lam in spectra.values():
-        if float(lam[0]) < -cut:
-            raise ValidationError("tensor Gram form is not positive semidefinite")
-    return spectra, gram_norm, cut
+def _gram_block(y: ConcreteCorr, l: int, j: int) -> np.ndarray:
+    # R of (right fiber l, middle block j): the symmetrized action of the units
+    # of middle block j on fiber l of y, float64 for a real action.  eigvalsh
+    # would read a non-finite entry as a number, so it is refused.  min and
+    # max propagate NaN, and on the float view of R they allocate nothing.
+    off, m, e = _plan(y.source.blocks).off, y.source.blocks[j], y.module.fiber_dims[l]
+    r = y._stacks[l][off[j] : off[j + 1]].reshape(m, m, e, e).swapaxes(1, 2).reshape(m * e, m * e)
+    r = (r + r.conj().T) / 2.0
+    floats = r.view(float)
+    if not (math.isfinite(floats.min()) and math.isfinite(floats.max())):
+        raise ValidationError("tensor Gram form has a non-finite entry")
+    return r
 
 
 class InteriorTensor:
@@ -530,40 +506,57 @@ class InteriorTensor:
     the matrix units of middle block j on fiber l of the right factor.  The
     number mu of eigenvalues of R above the null cutoff is the multiplicity
     of fiber j in fiber l of the quotient, so the tensor's action needs only
-    the spectra.  `embed` takes the top mu eigenvectors of each R, scaled by
-    the square roots of their eigenvalues, as representatives of the
-    Hausdorff quotient that are orthonormal for the block-valued form, i.e.
-    the quotient lands directly in canonical fiber form; it computes them on
-    first use.  The left action passes through on the surviving coordinates.
+    the spectra, which `gram_blocks` keeps; no R is kept.  `embed` takes the
+    top mu eigenvectors of each R, rebuilt on first use, scaled by the
+    square roots of their eigenvalues, as representatives of the Hausdorff
+    quotient that are orthonormal for the block-valued form, i.e. the
+    quotient lands directly in canonical fiber form.  The left action passes
+    through on the surviving coordinates.  Instances are immutable.
     """
 
     def __init__(self, x: ConcreteCorr, y: ConcreteCorr, null_tol: float = GRAM_NULL_TOL):
-        spectra, self.gram_norm, cut = _gram_spectra(x, y, null_tol)
-        self._x, self._y = x, y
-        self.gram_blocks = tuple((key, lam) for key, (_r, lam) in spectra.items())
+        if not 0.0 < null_tol < 1.0:
+            raise ValidationError(f"null_tol must lie in (0, 1), got {null_tol!r}")
+        if x.target != y.source:
+            raise ValidationError(
+                f"cannot tensor: first ends at {x.target!r}, second starts at {y.source!r}"
+            )
+        dx, ey = x.module.fiber_dims, y.module.fiber_dims
+        spectra = []  # each (l, j) with both fibers nonzero and its ascending eigenvalues
+        for l, e in enumerate(ey):
+            for j, d in enumerate(dx):
+                if e and d:
+                    spectra.append(((l, j), np.linalg.eigvalsh(_gram_block(y, l, j))))
+        gram_norm = max([0.0] + [float(lam[-1]) for _, lam in spectra])
+        cut = null_tol * max(1.0, gram_norm)
+        if min([0.0] + [float(lam[0]) for _, lam in spectra]) < -cut:
+            raise ValidationError("tensor Gram form is not positive semidefinite")
         # In (l, j) order: fiber l of corr holds mu copies of x's fiber j.
-        self._layout = layout = tuple([] for _ in range(y.target.block_count))
-        for (l, j), (r, lam) in spectra.items():
+        layout = tuple([] for _ in ey)
+        for (l, j), lam in spectra:
             mu = int(np.count_nonzero(lam > cut))
             if mu:
-                layout[l].append((j, mu, r))
-        dims = tuple(sum(mu * x.module.fiber_dims[j] for j, mu, _ in p) for p in layout)
-        fibers = tuple(tuple((mu, x._fibers[j]) for j, mu, _ in p) for p in layout)
-        self.corr = ConcreteCorr._trusted(x.source, y.target, dims, fibers)
+                layout[l].append((j, mu))
+        layout = tuple(map(tuple, layout))
+        dims = tuple(sum(mu * x.module.fiber_dims[j] for j, mu in p) for p in layout)
+        fibers = tuple(tuple((mu, x._fibers[j]) for j, mu in p) for p in layout)
+        corr = ConcreteCorr._trusted(x.source, y.target, dims, fibers)
+        vars(self).update(
+            _x=x, _y=y, corr=corr, gram_norm=gram_norm, gram_blocks=tuple(spectra), _layout=layout
+        )
+
+    __setattr__ = __delattr__ = ConcreteCorr.__setattr__
 
     @functools.cached_property
     def _weights(self):
         # Per kept (l, j): the top mu eigenvectors of R, ascending as eigh
         # returns them, times the square roots of their eigenvalues.  Taking
         # them by index keeps each shape equal to the fiber layout of corr.
-        weights = []
-        for parts in self._layout:
-            kept = []
-            for j, mu, r in parts:
-                lam, vec = np.linalg.eigh(r)
-                kept.append((j, mu, vec[:, -mu:] * np.sqrt(lam[-mu:])))
-            weights.append(tuple(kept))
-        return tuple(weights)
+        def top(l, j, mu):
+            lam, vec = np.linalg.eigh(_gram_block(self._y, l, j))
+            return j, mu, vec[:, -mu:] * np.sqrt(lam[-mu:])
+
+        return tuple(tuple(top(l, j, mu) for j, mu in p) for l, p in enumerate(self._layout))
 
     def embed(self, x_elt, y_elt) -> Element:
         """Image of the elementary tensor x (x) y in the quotient module.
@@ -599,9 +592,9 @@ def interior_tensor_norm(x: ConcreteCorr, y: ConcreteCorr) -> float:
     """Largest eigenvalue of the scalarized Gram form of the tensor product.
 
     Lies below VANISH_TOL exactly when the tensor product is the zero module.
-    Reads the Gram spectra only; the tensor's action is not built.
+    The tensor's own `gram_norm`; building the tensor does not build its action.
     """
-    return _gram_spectra(x, y, GRAM_NULL_TOL)[1]
+    return InteriorTensor(x, y).gram_norm
 
 
 def is_isomorphic(x: ConcreteCorr, y: ConcreteCorr) -> bool:
@@ -653,5 +646,7 @@ def compacts_span_defect(x: ConcreteCorr) -> float:
     cols = [s.reshape(len(s), d * d) for s, d in zip(x._stacks, dims)]
     # The empty first block gives phi its shape when the target has no blocks.
     phi = np.concatenate([np.zeros((x.source.dim, 0)), *cols], axis=1).T
+    if not np.isfinite(phi).all():  # lstsq cannot converge; as _max_abs reads NaN
+        return math.inf
     sol, *_ = np.linalg.lstsq(phi, eye, rcond=None)
     return _max_abs(phi @ sol - eye)

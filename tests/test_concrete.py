@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -1202,9 +1203,9 @@ def test_tensor_refuses_a_null_tol_outside_the_unit_interval(null_tol):
 
 
 def test_norm_reads_the_gram_spectra_only(monkeypatch):
-    # interior_tensor_norm and InteriorTensor share one spectrum helper: equal
-    # norms on the draws of random-check's zero-tensor suite, and the norm
-    # never assembles the tensor's action.
+    # interior_tensor_norm reads InteriorTensor's one Gram pass: equal norms
+    # on the draws of random-check's zero-tensor suite, and the norm never
+    # assembles the tensor's action.
     pairs = []
 
     def spy(x, y):
@@ -1462,3 +1463,66 @@ def test_compacts_span_defect_at_the_zero_algebra():
     assert compacts_span_defect(_zero_source()) == 1.0
     assert compacts_span_defect(realize(CorrClass(ZERO_ALGEBRA, M2, ()))) == 0.0
     assert compacts_span_defect(realize(CorrClass(ZERO_ALGEBRA, ZERO_ALGEBRA, ()))) == 0.0
+
+
+def _non_finite_factor(bad):
+    # C -> C on a 2-dimensional fiber: the identity with one diagonal entry bad.
+    a = np.eye(2).reshape(1, 1, 2, 2)
+    a[0, 0, 1, 1] = bad
+    return ConcreteCorr(C1, ConcreteModule(C1, (2,)), ((a,),))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tensor_refuses_a_non_finite_gram_block(bad):
+    # eigvalsh reads the NaN block as [0, -0], a vanishing tensor, and the inf
+    # block as [nan, nan], whose NaN max would drop from the norm.
+    x, y = realize(CorrClass(C1, C1, ((1,),))), _non_finite_factor(bad)
+    with np.errstate(invalid="ignore"):
+        assert not validate(y).ok
+    for tensor in (InteriorTensor, interior_tensor_norm):
+        with pytest.raises(ValidationError, match="tensor Gram form has a non-finite entry"):
+            tensor(x, y)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_compacts_span_defect_of_a_non_finite_action_is_infinite(bad, capfd):
+    # As _max_abs reads NaN; least squares would not converge, and LAPACK
+    # would complain on standard error.
+    assert compacts_span_defect(_non_finite_factor(bad)) == math.inf
+    assert capfd.readouterr().err == ""
+
+
+def test_interior_tensor_is_immutable():
+    x, y = realize(CorrClass(C1, M2, ((2,),))), realize(CorrClass(M2, C2, ((1, 3),)))
+    t = InteriorTensor(x, y)
+    for name in ("corr", "gram_norm", "gram_blocks", "_layout", "_weights"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, None)
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+    # fiber l of corr holds mu copies of x's fiber j, as (j, mu) pairs.
+    assert t._layout == (((0, 1),), ((0, 3),))
+    assert t.gram_norm == 2.0
+    _embed_shapes(t, np.random.default_rng(47))
+    assert t._weights is t._weights
+
+
+def test_tensor_keeps_no_gram_matrix(monkeypatch):
+    # C -> C [[1]].[[512]]: the one Gram block R, like the right factor's
+    # stack, is 512 x 512, 2 MB.  With the stack built first, the tensor holds
+    # its spectrum and layout only; embed rebuilds R and solves it once.
+    x, y = realize(CorrClass(C1, C1, ((1,),))), realize(CorrClass(C1, C1, ((512,),)))
+    assert y.action[0][0].shape == (1, 1, 512, 512)
+    tracemalloc.start()
+    try:
+        t = InteriorTensor(x, y)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 1024
+    assert t.corr.module.fiber_dims == (512,)
+    calls = _count_eigh(monkeypatch)
+    rng = np.random.default_rng(48)
+    _embed_shapes(t, rng)
+    _embed_shapes(t, rng)
+    assert calls == [(512, 512)]
