@@ -480,16 +480,10 @@ def classify(x: ConcreteCorr) -> CorrClass:
 
 def _gram_block(y: ConcreteCorr, l: int, j: int) -> np.ndarray:
     # R of (right fiber l, middle block j): the symmetrized action of the units
-    # of middle block j on fiber l of y, float64 for a real action.  eigvalsh
-    # would read a non-finite entry as a number, so it is refused.  min and
-    # max propagate NaN, and on the float view of R they allocate nothing.
+    # of middle block j on fiber l of y, float64 for a real action.
     off, m, e = _plan(y.source.blocks).off, y.source.blocks[j], y.module.fiber_dims[l]
     r = y._stacks[l][off[j] : off[j + 1]].reshape(m, m, e, e).swapaxes(1, 2).reshape(m * e, m * e)
-    r = (r + r.conj().T) / 2.0
-    floats = r.view(float)
-    if not (math.isfinite(floats.min()) and math.isfinite(floats.max())):
-        raise ValidationError("tensor Gram form has a non-finite entry")
-    return r
+    return (r + r.conj().T) / 2.0
 
 
 class InteriorTensor:
@@ -515,6 +509,14 @@ class InteriorTensor:
     """
 
     def __init__(self, x: ConcreteCorr, y: ConcreteCorr, null_tol: float = GRAM_NULL_TOL):
+        self._gram_pass(x, y, null_tol)
+        # Built with the tensor, so an action over the size cap is refused here.
+        dims = tuple(sum(mu * x.module.fiber_dims[j] for j, mu in p) for p in self._layout)
+        fibers = tuple(tuple((mu, x._fibers[j]) for j, mu in p) for p in self._layout)
+        vars(self)["corr"] = ConcreteCorr._trusted(x.source, y.target, dims, fibers)
+
+    def _gram_pass(self, x: ConcreteCorr, y: ConcreteCorr, null_tol: float) -> None:
+        # The one Gram pass: the spectra, the norm and the layout, not corr.
         if not 0.0 < null_tol < 1.0:
             raise ValidationError(f"null_tol must lie in (0, 1), got {null_tol!r}")
         if x.target != y.source:
@@ -522,11 +524,17 @@ class InteriorTensor:
                 f"cannot tensor: first ends at {x.target!r}, second starts at {y.source!r}"
             )
         dx, ey = x.module.fiber_dims, y.module.fiber_dims
+        # eigvalsh would read a non-finite entry of R as a number, so each stack on
+        # a nonzero fiber of y is checked first.  With min <= 0 <= max, a spread of
+        # at most half the largest float keeps R = (r + r^*) / 2 finite; NaN fails.
+        for s in itertools.compress(y._fibers, ey) if any(dx) else ():
+            for v in (v.view(float) for v, _ in _leaves(s).values() if not isinstance(v, int)):
+                if not v.max(initial=0.0) <= v.min(initial=0.0) + np.finfo(float).max / 2:
+                    raise ValidationError("tensor Gram form has a non-finite entry")
         spectra = []  # each (l, j) with both fibers nonzero and its ascending eigenvalues
-        for l, e in enumerate(ey):
-            for j, d in enumerate(dx):
-                if e and d:
-                    spectra.append(((l, j), np.linalg.eigvalsh(_gram_block(y, l, j))))
+        for (l, e), (j, d) in itertools.product(enumerate(ey), enumerate(dx)):
+            if e and d:
+                spectra.append(((l, j), np.linalg.eigvalsh(_gram_block(y, l, j))))
         gram_norm = max([0.0] + [float(lam[-1]) for _, lam in spectra])
         cut = null_tol * max(1.0, gram_norm)
         if min([0.0] + [float(lam[0]) for _, lam in spectra]) < -cut:
@@ -537,13 +545,8 @@ class InteriorTensor:
             mu = int(np.count_nonzero(lam > cut))
             if mu:
                 layout[l].append((j, mu))
-        layout = tuple(map(tuple, layout))
-        dims = tuple(sum(mu * x.module.fiber_dims[j] for j, mu in p) for p in layout)
-        fibers = tuple(tuple((mu, x._fibers[j]) for j, mu in p) for p in layout)
-        corr = ConcreteCorr._trusted(x.source, y.target, dims, fibers)
-        vars(self).update(
-            _x=x, _y=y, corr=corr, gram_norm=gram_norm, gram_blocks=tuple(spectra), _layout=layout
-        )
+        vars(self).update(_x=x, _y=y, gram_norm=gram_norm, gram_blocks=tuple(spectra))
+        vars(self)["_layout"] = tuple(map(tuple, layout))
 
     __setattr__ = __delattr__ = ConcreteCorr.__setattr__
 
@@ -572,9 +575,7 @@ class InteriorTensor:
             cl = c.blocks[l]
             rows = [np.zeros((0, cl), dtype=complex)]
             for j, mu, w in parts:
-                d = self._x.module.fiber_dims[j]
-                m = b.blocks[j]
-                e = self._y.module.fiber_dims[l]
+                d, m, e = self._x.module.fiber_dims[j], b.blocks[j], self._y.module.fiber_dims[l]
                 t = np.einsum("up,vq->upvq", x_elt[j], y_elt[l]).reshape(d, m * e, cl)
                 rows.append(np.einsum("ka,ukq->auq", w.conj(), t).reshape(d * mu, cl))
             out.append(np.vstack(rows))
@@ -592,9 +593,12 @@ def interior_tensor_norm(x: ConcreteCorr, y: ConcreteCorr) -> float:
     """Largest eigenvalue of the scalarized Gram form of the tensor product.
 
     Lies below VANISH_TOL exactly when the tensor product is the zero module.
-    The tensor's own `gram_norm`; building the tensor does not build its action.
+    The tensor's own `gram_norm`, from its Gram pass alone: the action is not
+    built, so a product over the size cap still has its norm.
     """
-    return InteriorTensor(x, y).gram_norm
+    t = object.__new__(InteriorTensor)
+    t._gram_pass(x, y, GRAM_NULL_TOL)
+    return t.gram_norm
 
 
 def is_isomorphic(x: ConcreteCorr, y: ConcreteCorr) -> bool:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1526,3 +1527,42 @@ def test_tensor_keeps_no_gram_matrix(monkeypatch):
     _embed_shapes(t, rng)
     _embed_shapes(t, rng)
     assert calls == [(512, 512)]
+
+
+def _overflowing_factor(kind):
+    # C -> C on a 2-dimensional fiber whose unit image has finite entries that
+    # R's symmetrization, (r + r^*) / 2, would carry past the largest float.
+    a = np.eye(2, dtype=complex).reshape(1, 1, 2, 2)
+    if kind == "real":
+        a[0, 0, 1, 1] = 1e308
+    else:
+        a[0, 0, 0, 1], a[0, 0, 1, 0] = 1e308j, -1e308j
+    return ConcreteCorr(C1, ConcreteModule(C1, (2,)), ((a,),))
+
+
+@pytest.mark.parametrize("kind", ["real", "imaginary"])
+def test_tensor_refuses_a_gram_block_that_would_overflow(kind):
+    # The inf that R would hold reads as a NaN spectrum or makes eigvalsh fail.
+    x, y = realize(CorrClass(C1, C1, ((1,),))), _overflowing_factor(kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nor does the check itself overflow
+        for tensor in (InteriorTensor, interior_tensor_norm):
+            with pytest.raises(ValidationError, match="tensor Gram form has a non-finite entry"):
+                tensor(x, y)
+    # A spread of half the largest float, from 0 to big, is still read.
+    big = np.finfo(float).max / 2
+    a = np.diag([1.0, big]).reshape(1, 1, 2, 2)
+    y = ConcreteCorr(C1, ConcreteModule(C1, (2,)), ((a,),))
+    assert interior_tensor_norm(x, y) == pytest.approx(big, rel=1e-12)
+
+
+def test_norm_of_a_product_over_the_size_cap():
+    # Each factor is within MAX_ACTION_ENTRIES, their product's 8192-wide fiber
+    # (2^26 entries) is not: the tensor is refused, but its norm reads the one
+    # 2 x 2 Gram block and allocates nothing of the product.
+    x, y = realize(CorrClass(C1, C1, ((4096,),))), realize(CorrClass(C1, C1, ((2,),)))
+    norm, peak = _traced_peak(interior_tensor_norm, x, y)
+    assert norm == 1.0 and peak < 64 * 1024
+    for tensor in (InteriorTensor, interior_tensor):
+        with pytest.raises(ValidationError, match="hold 67108864 entries, which exceeds"):
+            tensor(x, y)
