@@ -132,7 +132,7 @@ def _matrix(rows, pad: str) -> str:
 def _indented(value, pad: str) -> str:
     """What `json.dumps(value, indent=2)` writes, nested at `pad`, of `value`
     with each CorrClass as its `corr_to_json` form.  A list of scalars is one
-    call to the C encoder, and so is a matrix."""
+    call to the C encoder, and so is a class's matrix."""
     inner = pad + "  "
     if type(value) is CorrClass:
         rows = value.matrix
@@ -161,8 +161,6 @@ def _indented(value, pad: str) -> str:
         return "[]"
     if _SCALARS.issuperset(map(type, value)):
         return "[\n" + inner + _encoder(inner)(value)[1:-1] + "\n" + pad + "]"
-    if all(type(row) is list and row and _SCALARS.issuperset(map(type, row)) for row in value):
-        return _matrix(value, pad)
     return "[\n" + ",\n".join(inner + _indented(item, inner) for item in value) + "\n" + pad + "]"
 
 

@@ -402,24 +402,27 @@ def _report(plan: _Plan, tables) -> ValidationReport:
             d = sum(plan.blocks[i] for i in ids)
             stacks.append(_assemble(plan, tuple((1, i) for i in ids), d))
     mult = adjoint = nondegeneracy = 0.0
-    for stack in stacks:
-        d = stack.shape[1]
-        if d == 0:
-            continue
-        checks = plan.checks
-        sums = checks.sums @ stack[checks.diag].reshape(-1, d * d)
-        sums[-1, :: d + 1] -= 1.0
-        nondegeneracy = max(nondegeneracy, _max_abs(sums[-1]))
-        # A gather is a copy, so the residual can be formed in place.
-        diff = stack[checks.col0]
-        diff -= stack[checks.row0].conj().swapaxes(1, 2)
-        adjoint = max(adjoint, _max_abs(diff))
-        units = sums[:-1].reshape(-1, d, d)
-        mult = max(
-            mult,
-            _residual(stack, checks.left, checks.right, checks.target),
-            _residual(units, checks.pair_l, checks.pair_r, checks.pair_l[:0]),
-        )
+    # A non-finite or overflowing entry reads as an infinite violation, so
+    # numpy's warning about it says nothing more.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for stack in stacks:
+            d = stack.shape[1]
+            if d == 0:
+                continue
+            checks = plan.checks
+            sums = checks.sums @ stack[checks.diag].reshape(-1, d * d)
+            sums[-1, :: d + 1] -= 1.0
+            nondegeneracy = max(nondegeneracy, _max_abs(sums[-1]))
+            # A gather is a copy, so the residual can be formed in place.
+            diff = stack[checks.col0]
+            diff -= stack[checks.row0].conj().swapaxes(1, 2)
+            adjoint = max(adjoint, _max_abs(diff))
+            units = sums[:-1].reshape(-1, d, d)
+            mult = max(
+                mult,
+                _residual(stack, checks.left, checks.right, checks.target),
+                _residual(units, checks.pair_l, checks.pair_r, checks.pair_l[:0]),
+            )
     names = ("star-multiplicativity", "star-adjoint", "nondegeneracy")
     checks = map(AxiomCheck, names, (mult, adjoint, nondegeneracy))
     return ValidationReport(tuple(checks), VALIDATE_TOL)

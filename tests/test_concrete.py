@@ -1473,13 +1473,22 @@ def _non_finite_factor(bad):
     return ConcreteCorr(C1, ConcreteModule(C1, (2,)), ((a,),))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e300])
+def test_validate_reads_a_non_finite_or_overflowing_action_without_a_warning(bad):
+    y = _non_finite_factor(bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not validate(y).ok
+        with pytest.raises(ValidationError, match="action fails validation"):
+            classify(y)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_tensor_refuses_a_non_finite_gram_block(bad):
     # eigvalsh reads the NaN block as [0, -0], a vanishing tensor, and the inf
     # block as [nan, nan], whose NaN max would drop from the norm.
     x, y = realize(CorrClass(C1, C1, ((1,),))), _non_finite_factor(bad)
-    with np.errstate(invalid="ignore"):
-        assert not validate(y).ok
+    assert not validate(y).ok
     for tensor in (InteriorTensor, interior_tensor_norm):
         with pytest.raises(ValidationError, match="tensor Gram form has a non-finite entry"):
             tensor(x, y)

@@ -6,12 +6,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-# Demo 06 runs the whole gallery, which test_exactness already covers.
-DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-5]_*.py"))
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-6]_*.py"))
 
 
 def test_demo_list():
-    assert len(DEMOS) == 5
+    assert len(DEMOS) == 6
 
 
 @pytest.mark.parametrize("name", DEMOS)
