@@ -17,6 +17,7 @@ constructor.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -391,7 +392,7 @@ def _report(plan: _Plan, tables) -> ValidationReport:
     # e_pq = e_p1 e_1q and (R2) e_1p e_q1 = delta_pq e_11 in each block and
     # (R3) P_i P_k = 0 across blocks give every product relation, and with them
     # e_{1p}^* = e_{p1} gives every adjoint.  tables holds each fiber's leaves.
-    seen, stacks = set(), []
+    seen, stacks, identity_sums = set(), [], []
     for table in tables:
         ids = []
         for key, (s, _) in table.items():
@@ -400,12 +401,12 @@ def _report(plan: _Plan, tables) -> ValidationReport:
                 (ids if isinstance(s, int) else stacks).append(s)
         if ids:
             d = sum(plan.blocks[i] for i in ids)
-            stacks.append(_assemble(plan, tuple((1, i) for i in ids), d))
+            identity_sums.append(_assemble(plan, tuple((1, i) for i in ids), d))
     mult = adjoint = nondegeneracy = 0.0
-    # A non-finite or overflowing entry reads as an infinite violation, so
-    # numpy's warning about it says nothing more.
-    with np.errstate(invalid="ignore", over="ignore"):
-        for stack in stacks:
+    # A caller's non-finite or overflowing entry reads as an infinite violation,
+    # so numpy's warning says nothing more; an identity sum of 0s and 1s cannot.
+    with np.errstate(invalid="ignore", over="ignore") if stacks else contextlib.nullcontext():
+        for stack in stacks + identity_sums:
             d = stack.shape[1]
             if d == 0:
                 continue
@@ -502,24 +503,19 @@ class InteriorTensor:
     per (left fiber j, right fiber l) pair, where R collects the action of
     the matrix units of middle block j on fiber l of the right factor.  The
     number mu of eigenvalues of R above the null cutoff is the multiplicity
-    of fiber j in fiber l of the quotient, so the tensor's action needs only
-    the spectra, which `gram_blocks` keeps; no R is kept.  `embed` takes the
-    top mu eigenvectors of each R, rebuilt on first use, scaled by the
-    square roots of their eigenvalues, as representatives of the Hausdorff
-    quotient that are orthonormal for the block-valued form, i.e. the
-    quotient lands directly in canonical fiber form.  The left action passes
-    through on the surviving coordinates.  Instances are immutable.
+    of fiber j in fiber l of the quotient, so the product `corr`, built on
+    first read, needs only the spectra, which `gram_blocks` keeps; no R is
+    kept.  `embed` takes the top mu eigenvectors of each R, rebuilt on first
+    use, scaled by the square roots of their eigenvalues, as representatives
+    of the Hausdorff quotient that are orthonormal for the block-valued
+    form, i.e. the quotient lands directly in canonical fiber form.  The
+    left action passes through on the surviving coordinates.  Instances are
+    immutable.
     """
 
     def __init__(self, x: ConcreteCorr, y: ConcreteCorr, null_tol: float = GRAM_NULL_TOL):
-        self._gram_pass(x, y, null_tol)
-        # Built with the tensor, so an action over the size cap is refused here.
-        dims = tuple(sum(mu * x.module.fiber_dims[j] for j, mu in p) for p in self._layout)
-        fibers = tuple(tuple((mu, x._fibers[j]) for j, mu in p) for p in self._layout)
-        vars(self)["corr"] = ConcreteCorr._trusted(x.source, y.target, dims, fibers)
-
-    def _gram_pass(self, x: ConcreteCorr, y: ConcreteCorr, null_tol: float) -> None:
-        # The one Gram pass: the spectra, the norm and the layout, not corr.
+        # The one Gram pass: the spectra, the norm and the layout.  It builds no
+        # action, so the size cap on the product applies when corr is read.
         if not 0.0 < null_tol < 1.0:
             raise ValidationError(f"null_tol must lie in (0, 1), got {null_tol!r}")
         if x.target != y.source:
@@ -552,6 +548,12 @@ class InteriorTensor:
         vars(self)["_layout"] = tuple(map(tuple, layout))
 
     __setattr__ = __delattr__ = ConcreteCorr.__setattr__
+
+    @functools.cached_property
+    def corr(self) -> ConcreteCorr:
+        dims = tuple(sum(mu * self._x.module.fiber_dims[j] for j, mu in p) for p in self._layout)
+        fibers = tuple(tuple((mu, self._x._fibers[j]) for j, mu in p) for p in self._layout)
+        return ConcreteCorr._trusted(self._x.source, self._y.target, dims, fibers)
 
     @functools.cached_property
     def _weights(self):
@@ -596,12 +598,10 @@ def interior_tensor_norm(x: ConcreteCorr, y: ConcreteCorr) -> float:
     """Largest eigenvalue of the scalarized Gram form of the tensor product.
 
     Lies below VANISH_TOL exactly when the tensor product is the zero module.
-    The tensor's own `gram_norm`, from its Gram pass alone: the action is not
-    built, so a product over the size cap still has its norm.
+    The tensor's `gram_norm`: its action is not built, so a product over the
+    size cap still has its norm.
     """
-    t = object.__new__(InteriorTensor)
-    t._gram_pass(x, y, GRAM_NULL_TOL)
-    return t.gram_norm
+    return InteriorTensor(x, y).gram_norm
 
 
 def is_isomorphic(x: ConcreteCorr, y: ConcreteCorr) -> bool:

@@ -55,6 +55,10 @@ def test_ideal_validation():
     assert ideal.sorted_members == (1,)
 
 
+def test_ideal_repr():
+    assert repr(make_ideal(make_algebra([1, 2]), [1])) == "IdealRef([1, 2], members=[1])"
+
+
 def test_algebras_isomorphic():
     assert algebras_isomorphic(make_algebra([1, 2]), make_algebra([2, 1]))
     assert not algebras_isomorphic(make_algebra([1, 1]), make_algebra([2]))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import enchilada
 from enchilada import INF, CorrClass, ValidationError, make_algebra, run_random_checks
+from enchilada import identity_corr, quirks, schubert_image, zero_corr
 from enchilada.cli import _dumps, main
 from enchilada.jsonio import corr_to_json
 
@@ -306,6 +307,48 @@ def test_gallery_rejects_non_string_name(capsys):
     code, report = run_json(capsys, "gallery", "--input", json.dumps({"name": []}))
     assert code == 2
     assert "unknown gallery entry" in report["error"]
+
+
+def _infinite_image(x):
+    # The Schubert image with each nonzero entry made INF, which no finite
+    # class equals: x does not factor through it and has no mediator.
+    img = schubert_image(x)
+    rows = tuple(tuple(INF if v else 0 for v in row) for row in img.matrix)
+    return CorrClass(img.source, img.target, rows)
+
+
+@pytest.mark.parametrize(
+    "entry, name, fake, failed",
+    [
+        ("mono_necessity", "kernel", lambda x: identity_corr(x.source), ["every class with"]),
+        ("kernel_is_split_mono", "is_split_mono", lambda z: False, ["kernel inclusion is"]),
+        ("kernel_is_split_mono", "kernel", lambda x: identity_corr(x.source), ["kernel composed"]),
+        ("kernel_is_split_mono", "dual", lambda k: zero_corr(k.target, k.source), ["the dual"]),
+        ("hb_image", "schubert_image", _infinite_image, ["every Hilbert", "each factorization"]),
+    ],
+)
+def test_gallery_reports_a_planted_fault(monkeypatch, entry, name, fake, failed):
+    # Each fault breaks one claim, and the transcript names the steps it fails.
+    monkeypatch.setattr(quirks, name, fake)
+    transcript = enchilada.gallery(entry)
+    assert not transcript.passed
+    labels = [step.label for step in transcript.steps if not step.passed]
+    assert len(labels) == len(failed)
+    assert all(label.startswith(prefix) for label, prefix in zip(labels, failed))
+
+
+def test_gallery_verb_exits_1_on_a_failed_step(monkeypatch, capsys):
+    monkeypatch.setattr(quirks, "is_split_mono", lambda z: False)
+    code, out = run(capsys, "gallery", "--input", "kernel_is_split_mono")
+    assert code == 1
+    assert "kernel_is_split_mono: FAIL" in out
+    assert "  [FAILED] kernel inclusion is a split mono (60 random classes)" in out
+
+
+def test_random_check_rejects_counts_that_are_not_an_object(capsys):
+    code, report = run_json(capsys, "random-check", "--input", "[1]")
+    assert code == 2
+    assert report["error"] == "random-check input must be an object of suite counts"
 
 
 def test_random_check_deterministic(capsys):

@@ -98,12 +98,12 @@ def test_interior_tensor_caps_action_size(monkeypatch):
     x = realize(CorrClass(C1, C1, ((64,),)))
     y = realize(CorrClass(C1, C1, ((65,),)))
     with pytest.raises(ValidationError, match="exceeds"):
-        InteriorTensor(x, y)
+        InteriorTensor(x, y).corr
     monkeypatch.setattr(concrete, "MAX_ACTION_ENTRIES", 36)
     two, three, four = (realize(CorrClass(C1, C1, ((k,),))) for k in (2, 3, 4))
     assert InteriorTensor(two, three).corr.module.fiber_dims == (6,)
     with pytest.raises(ValidationError):
-        InteriorTensor(two, four)
+        InteriorTensor(two, four).corr
 
 
 def test_action_cap_bounds_the_total(monkeypatch):
@@ -1567,11 +1567,53 @@ def test_tensor_refuses_a_gram_block_that_would_overflow(kind):
 
 def test_norm_of_a_product_over_the_size_cap():
     # Each factor is within MAX_ACTION_ENTRIES, their product's 8192-wide fiber
-    # (2^26 entries) is not: the tensor is refused, but its norm reads the one
-    # 2 x 2 Gram block and allocates nothing of the product.
+    # (2^26 entries) is not: the product is refused when it is built, but the
+    # norm reads the one 2 x 2 Gram block and allocates nothing of the product.
     x, y = realize(CorrClass(C1, C1, ((4096,),))), realize(CorrClass(C1, C1, ((2,),)))
     norm, peak = _traced_peak(interior_tensor_norm, x, y)
     assert norm == 1.0 and peak < 64 * 1024
-    for tensor in (InteriorTensor, interior_tensor):
+    for tensor in (lambda x, y: InteriorTensor(x, y).corr, interior_tensor):
         with pytest.raises(ValidationError, match="hold 67108864 entries, which exceeds"):
             tensor(x, y)
+
+
+def test_tensor_builds_its_product_on_first_read():
+    # The Gram pass builds no action, so the cap on the product applies when
+    # corr is read, by InteriorTensor(...).corr or interior_tensor alike.
+    x, y = realize(CorrClass(C1, C1, ((4096,),))), realize(CorrClass(C1, C1, ((2,),)))
+    t, peak = _traced_peak(InteriorTensor, x, y)
+    assert t.gram_norm == 1.0 and peak < 64 * 1024
+    with pytest.raises(ValidationError, match="hold 67108864 entries, which exceeds"):
+        t.corr
+    x, y = realize(CorrClass(C1, C1, ((64,),))), realize(CorrClass(C1, C1, ((65,),)))
+    assert InteriorTensor(x, y).gram_norm == 1.0
+    with pytest.raises(ValidationError, match="exceeds"):
+        interior_tensor(x, y)
+    # Once read, corr is kept and can be neither replaced nor deleted.
+    t = InteriorTensor(realize(CorrClass(C1, C1, ((2,),))), realize(CorrClass(C1, C1, ((3,),))))
+    corr = t.corr
+    assert t.corr is corr and corr.module.fiber_dims == (6,)
+    with pytest.raises(AttributeError):
+        t.corr = None
+    with pytest.raises(AttributeError):
+        del t.corr
+    assert t.corr is corr
+
+
+def test_report_quiets_numpy_only_for_a_caller_built_stack(monkeypatch):
+    # Realized factors and their tensors hold identity sums of 0s and 1s, which
+    # cannot warn, so only a stack built through the constructor enters errstate.
+    entered, errstate = [], np.errstate
+
+    def counted(**kwargs):
+        entered.append(kwargs)
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", counted)
+    k, l = CorrClass(C1, M2, ((2,),)), CorrClass(M2, C2, ((1, 3),))
+    assert validate(realize(k)).ok and classify(realize(k)) == k
+    assert classify(interior_tensor(realize(k), realize(l))) == compose(k, l)
+    assert entered == []
+    built = ConcreteCorr(C1, ConcreteModule(C1, (1,)), ((ONE,),))
+    assert validate(built).ok
+    assert entered == [{"invalid": "ignore", "over": "ignore"}]

@@ -1,8 +1,10 @@
 """Law-level properties of the symbolic calculus, on seeded and exhaustive inputs."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from enchilada import checks
 from enchilada import (
@@ -41,6 +43,7 @@ from enchilada import (
     schubert_image,
     suite_compose_laws,
     suite_schubert_identities,
+    suite_tensor_oracle,
     suite_universal_properties,
     suite_zero_tensor,
     tensor_is_zero,
@@ -70,6 +73,53 @@ def test_universal_suite_compares_each_mediator_with_the_drawn_one(monkeypatch):
     failures = suite_universal_properties(np.random.default_rng(12), cases=40).failures
     assert any("kernel factorization failed" in f for f in failures)
     assert any("cokernel factorization failed" in f for f in failures)
+
+
+def _bumped_compose(x, y):
+    # Composition with one entry of the product changed, which is not associative.
+    return checks._bumped(np.random.default_rng(0), compose(x, y)) or compose(x, y)
+
+
+def _not_exact(x, y):
+    return SimpleNamespace(exact=False)
+
+
+def _source_identity(x):
+    return identity_corr(x.source)
+
+
+def _target_identity(x):
+    return identity_corr(x.target)
+
+
+def _zero_class(x):
+    return zero_corr(x.source, x.target)
+
+
+@pytest.mark.parametrize(
+    "suite, name, fake, message",
+    [
+        (suite_compose_laws, "compose", _bumped_compose, "associativity"),
+        (suite_compose_laws, "identity_corr", lambda a: zero_corr(a, a), "unit law"),
+        (suite_universal_properties, "kernel", _source_identity, "generated W does not"),
+        (suite_universal_properties, "_bumped", lambda rng, m: m, "kernel mediator not unique"),
+        (suite_universal_properties, "_bumped", lambda rng, m: m, "cokernel mediator not unique"),
+        (suite_universal_properties, "cokernel", _target_identity, "generated W' is not"),
+        (suite_schubert_identities, "schubert_image", kernel, "image identity failed"),
+        (suite_schubert_identities, "schubert_coimage", cokernel, "coimage identity failed"),
+        (suite_schubert_identities, "exact_at", _not_exact, "kernel node not exact"),
+        (suite_schubert_identities, "exact_at", _not_exact, "cokernel node not exact"),
+        (suite_tensor_oracle, "classify", _zero_class, "roundtrip failed"),
+        (suite_zero_tensor, "tensor_is_zero", lambda x, y: False, "disagreement ("),
+    ],
+)
+def test_suites_report_each_planted_fault(monkeypatch, suite, name, fake, message):
+    # Each fault breaks one law a suite checks, and the suite names that law.
+    monkeypatch.setattr(checks, name, fake)
+    result = suite(np.random.default_rng(3), cases=20)
+    assert not result.ok
+    # Each failure reads "case n: <law> ...".
+    assert any(f.split(": ", 1)[1].startswith(message) for f in result.failures), result.failures
 
 
 def test_zero_tensor_suite_draws_vanishing_pairs_on_even_cases(monkeypatch):
