@@ -9,10 +9,10 @@ every source matrix unit under the left action.
 Tensor products go through an explicit Gram quotient, whose spectra count
 the copies of each fiber in the quotient, and `classify` reads
 multiplicities as traces of minimal-projection images.  On factors made by
-`realize`, those traces and the axiom checks are bookkeeping on the stored
-parts and read the class back exactly; what is measured in floating point
-is the Gram spectra, and every action a caller builds through the
-constructor.
+`realize`, those traces, the axiom checks and the Gram spectra, an identity
+summand's read off its block sizes, are bookkeeping on the stored parts;
+what is measured in floating point is the Gram spectra of stack leaves, the
+only ones that go through `eigvalsh`, and every caller-built action.
 """
 
 from __future__ import annotations
@@ -482,12 +482,28 @@ def classify(x: ConcreteCorr) -> CorrClass:
     return CorrClass._trusted(x.source, x.target, tuple(rows))
 
 
-def _gram_block(y: ConcreteCorr, l: int, j: int) -> np.ndarray:
-    # R of (right fiber l, middle block j): the symmetrized action of the units
-    # of middle block j on fiber l of y, float64 for a real action.
-    off, m, e = _plan(y.source.blocks).off, y.source.blocks[j], y.module.fiber_dims[l]
-    r = y._stacks[l][off[j] : off[j + 1]].reshape(m, m, e, e).swapaxes(1, 2).reshape(m * e, m * e)
+def _gram_block(stack: np.ndarray, blocks: tuple[int, ...], j: int) -> np.ndarray:
+    # R of middle block j on a stack: the symmetrized action of block j's units.
+    m, e, off = blocks[j], stack.shape[1], _plan(blocks).off
+    r = stack[off[j] : off[j + 1]].reshape(m, m, e, e).swapaxes(1, 2).reshape(m * e, m * e)
     return (r + r.conj().T) / 2.0
+
+
+def _spectrum(table: dict, blocks: tuple[int, ...], j: int, e: int, solved: dict) -> np.ndarray:
+    # R's ascending spectrum for middle block j on a fiber of width e with these
+    # leaves, the union of theirs (DECISIONS.md): a copy of block j's identity
+    # gives one m, other identities zeros, a stack its R's eigvalsh, solved once.
+    m, tops, stacks = blocks[j], table.get((j,), (j, 0))[1], []
+    for key, (s, mu) in table.items():
+        if not isinstance(s, int):
+            if (key, j) not in solved:
+                solved[key, j] = np.linalg.eigvalsh(_gram_block(s, blocks, j))
+            stacks += [solved[key, j]] * mu
+    if len(stacks) == 1 and len(stacks[0]) == m * e:
+        return stacks[0]  # a fiber that is one stack
+    zeros = np.zeros(m * e - tops - sum(map(len, stacks)))
+    lam = np.concatenate([*stacks, zeros, np.full(tops, float(m))])
+    return np.sort(lam) if stacks else lam
 
 
 class InteriorTensor:
@@ -502,15 +518,17 @@ class InteriorTensor:
 
     per (left fiber j, right fiber l) pair, where R collects the action of
     the matrix units of middle block j on fiber l of the right factor.  The
-    number mu of eigenvalues of R above the null cutoff is the multiplicity
-    of fiber j in fiber l of the quotient, so the product `corr`, built on
-    first read, needs only the spectra, which `gram_blocks` keeps; no R is
-    kept.  `embed` takes the top mu eigenvectors of each R, rebuilt on first
-    use, scaled by the square roots of their eigenvalues, as representatives
-    of the Hausdorff quotient that are orthonormal for the block-valued
-    form, i.e. the quotient lands directly in canonical fiber form.  The
-    left action passes through on the surviving coordinates.  Instances are
-    immutable.
+    number mu of eigenvalues of R above null_tol * m_j, for m_j the size of
+    block j, is the multiplicity of fiber j in fiber l of the quotient.  R is
+    the direct sum of the R of fiber l's leaves, so an identity's spectrum is
+    read off the block sizes and only a stack's goes through eigvalsh.  The
+    product `corr`, built on first read, needs only the spectra, which
+    `gram_blocks` keeps; no R is kept.  `embed` takes the top mu eigenvectors
+    of each R, rebuilt on first use, scaled by the square roots of their
+    eigenvalues, as representatives of the Hausdorff quotient that are
+    orthonormal for the block-valued form, i.e. the quotient lands directly
+    in canonical fiber form.  The left action passes through on the
+    surviving coordinates.  Instances are immutable.
     """
 
     def __init__(self, x: ConcreteCorr, y: ConcreteCorr, null_tol: float = GRAM_NULL_TOL):
@@ -522,18 +540,18 @@ class InteriorTensor:
             raise ValidationError(
                 f"cannot tensor: first ends at {x.target!r}, second starts at {y.source!r}"
             )
-        dx, ey = x.module.fiber_dims, y.module.fiber_dims
-        # eigvalsh would read a non-finite entry of R as a number, so each stack on
-        # a nonzero fiber of y is checked first.  With min <= 0 <= max, a spread of
-        # at most half the largest float keeps R = (r + r^*) / 2 finite; NaN fails.
-        for s in itertools.compress(y._fibers, ey) if any(dx) else ():
-            for v in (v.view(float) for v, _ in _leaves(s).values() if not isinstance(v, int)):
+        blocks, dx, ey = y.source.blocks, x.module.fiber_dims, y.module.fiber_dims
+        spectra, solved = [], {}  # each (l, j) with both fibers nonzero and its spectrum
+        for l in (l for l, e in enumerate(ey) if e and any(dx)):
+            table = _leaves(y._fibers[l])
+            # eigvalsh would read a non-finite entry of R as a number, so each stack
+            # is checked first.  With min <= 0 <= max, a spread of at most half the
+            # largest float keeps R = (r + r^*) / 2 finite; NaN fails.
+            for v in (v.view(float) for v, _ in table.values() if not isinstance(v, int)):
                 if not v.max(initial=0.0) <= v.min(initial=0.0) + np.finfo(float).max / 2:
                     raise ValidationError("tensor Gram form has a non-finite entry")
-        spectra = []  # each (l, j) with both fibers nonzero and its ascending eigenvalues
-        for (l, e), (j, d) in itertools.product(enumerate(ey), enumerate(dx)):
-            if e and d:
-                spectra.append(((l, j), np.linalg.eigvalsh(_gram_block(y, l, j))))
+            for j in (j for j, d in enumerate(dx) if d):
+                spectra.append(((l, j), _spectrum(table, blocks, j, ey[l], solved)))
         gram_norm = max([0.0] + [float(lam[-1]) for _, lam in spectra])
         cut = null_tol * max(1.0, gram_norm)
         if min([0.0] + [float(lam[0]) for _, lam in spectra]) < -cut:
@@ -541,7 +559,7 @@ class InteriorTensor:
         # In (l, j) order: fiber l of corr holds mu copies of x's fiber j.
         layout = tuple([] for _ in ey)
         for (l, j), lam in spectra:
-            mu = int(np.count_nonzero(lam > cut))
+            mu = int(np.count_nonzero(lam > null_tol * blocks[j]))
             if mu:
                 layout[l].append((j, mu))
         vars(self).update(_x=x, _y=y, gram_norm=gram_norm, gram_blocks=tuple(spectra))
@@ -561,7 +579,7 @@ class InteriorTensor:
         # returns them, times the square roots of their eigenvalues.  Taking
         # them by index keeps each shape equal to the fiber layout of corr.
         def top(l, j, mu):
-            lam, vec = np.linalg.eigh(_gram_block(self._y, l, j))
+            lam, vec = np.linalg.eigh(_gram_block(self._y._stacks[l], self._y.source.blocks, j))
             return j, mu, vec[:, -mu:] * np.sqrt(lam[-mu:])
 
         return tuple(tuple(top(l, j, mu) for j, mu in p) for l, p in enumerate(self._layout))

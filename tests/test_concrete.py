@@ -684,22 +684,23 @@ def test_left_inner_product_compatibility():
                     assert np.allclose(l, r, atol=1e-9)
 
 
-def _count_eigh(monkeypatch):
+def _count_solver(monkeypatch, name):
+    # The shapes of the matrices passed to np.linalg.<name>, call by call.
     calls = []
-    eigh = np.linalg.eigh
+    solve = getattr(np.linalg, name)
 
     def spy(r):
         calls.append(r.shape)
-        return eigh(r)
+        return solve(r)
 
-    monkeypatch.setattr(np.linalg, "eigh", spy)
+    monkeypatch.setattr(np.linalg, name, spy)
     return calls
 
 
 def test_balancing_in_quotient(monkeypatch):
     # Also counts eigh calls: none to build the tensor, one per kept Gram
     # block over all four embeds of a pair.
-    calls = _count_eigh(monkeypatch)
+    calls = _count_solver(monkeypatch, "eigh")
     solved = 0
     rng = np.random.default_rng(28)
     for _ in range(10):
@@ -745,12 +746,13 @@ def test_gram_positivity_and_quotient_dimension():
         for (_lj, lam) in t.gram_blocks:
             if lam.size:
                 assert lam.min() >= -1e-9 * max(1.0, t.gram_norm)
-        # quotient dimension equals the rank of the Gram form
-        cut = 1e-7 * max(1.0, t.gram_norm)
+        # quotient dimension equals the rank of the Gram form, each block's
+        # eigenvalues counted above 1e-7 times its middle block's size
         for l, f in enumerate(t.corr.module.fiber_dims):
             rank = 0
             for (ll, j), lam in t.gram_blocks:
                 if ll == l:
+                    cut = 1e-7 * b.blocks[j]
                     rank += int(np.count_nonzero(lam > cut)) * x.module.fiber_dims[j]
             assert f == rank
 
@@ -1223,9 +1225,8 @@ def test_norm_reads_the_gram_spectra_only(monkeypatch):
     assert len(pairs) == 200
     assert 50 < sum(norm < concrete.VANISH_TOL for norm in pairs) < 150
     x, y = realize(CorrClass(C1, M2, ((2,),))), realize(CorrClass(M2, C2, ((1, 3),)))
-    # The spectra read the right factor's stacks, which are assembled on
-    # first use; once they exist, nothing else is assembled.
-    assert y.action[0][0].shape == (2, 2, 2, 2)
+    # A realized right factor's spectra are read off its block sizes, so
+    # neither its stacks nor the tensor's action are assembled.
 
     def refuse(*args):
         raise AssertionError("interior_tensor_norm assembled an action")
@@ -1246,7 +1247,7 @@ def _embed_shapes(t, rng):
 def test_eigenvectors_only_on_first_embed(monkeypatch):
     # The tensor's action needs only the Gram spectra; embed solves for the
     # eigenvectors once per kept Gram block on its first call and reuses them.
-    calls = _count_eigh(monkeypatch)
+    calls = _count_solver(monkeypatch, "eigh")
     rng = np.random.default_rng(44)
     solved = 0
     for _ in range(20):
@@ -1531,7 +1532,7 @@ def test_tensor_keeps_no_gram_matrix(monkeypatch):
         tracemalloc.stop()
     assert held < 64 * 1024
     assert t.corr.module.fiber_dims == (512,)
-    calls = _count_eigh(monkeypatch)
+    calls = _count_solver(monkeypatch, "eigh")
     rng = np.random.default_rng(48)
     _embed_shapes(t, rng)
     _embed_shapes(t, rng)
@@ -1617,3 +1618,163 @@ def test_report_quiets_numpy_only_for_a_caller_built_stack(monkeypatch):
     built = ConcreteCorr(C1, ConcreteModule(C1, (1,)), ((ONE,),))
     assert validate(built).ok
     assert entered == [{"invalid": "ignore", "over": "ignore"}]
+
+
+def _reference_spectra(x, y):
+    # Each (l, j) Gram spectrum from R of the whole assembled fiber l of y.
+    blocks = y.source.blocks
+    return [
+        ((l, j), np.linalg.eigvalsh(concrete._gram_block(y._stacks[l], blocks, j)))
+        for l, e in enumerate(y.module.fiber_dims)
+        if e
+        for j, d in enumerate(x.module.fiber_dims)
+        if d
+    ]
+
+
+def _mixed_factor(rng, b, c):
+    # b -> c whose fibers mix identity leaves with real and complex stacks,
+    # each stack a rotated identity representation of one block of b.
+    def stack(i, orthogonal):
+        rows = tuple((int(k == i),) for k in range(b.block_count))
+        return _rotate(realize(CorrClass(b, C1, rows)), rng, orthogonal)._fibers[0]
+
+    fibers = []
+    for _ in c.blocks:
+        parts = []
+        for i in range(b.block_count):
+            for leaf in (i, stack(i, True), stack(i, False)):
+                mu = int(rng.integers(0, 3))
+                if mu:
+                    parts.append((mu, leaf))
+        fibers.append(tuple(parts))
+    dims = tuple(
+        sum(mu * (b.blocks[s] if isinstance(s, int) else s.shape[1]) for mu, s in parts)
+        for parts in fibers
+    )
+    return ConcreteCorr._trusted(b, c, dims, tuple(fibers))
+
+
+def _right_factors(rng, b, c):
+    # Right factors b -> c of every kind the tensor meets: realized, rotated
+    # (real and complex), nested (a tensor's product, whose leaves are the
+    # stacks of a rotated factor) and with mixed-dtype leaves.
+    d = random_algebra(rng)
+    l = random_corr(rng, b, c)
+    inner = _rotate(realize(random_corr(rng, b, d)), rng, orthogonal=rng.random() < 0.5)
+    nested = InteriorTensor(inner, realize(random_corr(rng, d, c))).corr
+    yield "realized", realize(l)
+    yield "orthogonal", _rotate(realize(l), rng, orthogonal=True)
+    yield "unitary", _rotate(realize(l), rng, orthogonal=False)
+    yield "nested", nested
+    yield "nested twice", InteriorTensor(nested, realize(identity_corr(c))).corr
+    yield "mixed", _mixed_factor(rng, b, c)
+
+
+def test_gram_spectra_match_the_assembled_fiber():
+    # The tensor reads each Gram spectrum from the fiber's distinct leaves; it
+    # must equal eigvalsh of R on the whole assembled fiber, in the same
+    # (l, j) order and length, to 1e-9 relative to the middle block's size,
+    # and give the layout that spectrum gives under the per-block cutoff.
+    rng = np.random.default_rng(61)
+    seen, zero_fibers = {}, 0
+    for _ in range(40):
+        a, b, c = (random_algebra(rng) for _ in range(3))
+        x = realize(random_corr(rng, a, b))
+        for kind, y in _right_factors(rng, b, c):
+            t = InteriorTensor(x, y)
+            want = _reference_spectra(x, y)
+            assert [lj for lj, _ in t.gram_blocks] == [lj for lj, _ in want]
+            layout = tuple([] for _ in y.module.fiber_dims)
+            for ((l, j), got), (_, lam) in zip(t.gram_blocks, want):
+                m = b.blocks[j]
+                assert got.shape == lam.shape
+                assert np.abs(got - lam).max(initial=0.0) <= 1e-9 * m
+                mu = int(np.count_nonzero(lam > concrete.GRAM_NULL_TOL * m))
+                if mu:
+                    layout[l].append((j, mu))
+            assert t._layout == tuple(map(tuple, layout))
+            assert t.gram_norm == pytest.approx(max([0.0] + [lam[-1] for _, lam in want]))
+            seen[kind] = seen.get(kind, 0) + bool(want)
+            zero_fibers += 0 in y.module.fiber_dims
+    assert len(seen) == 6 and min(seen.values()) > 20 and zero_fibers > 20
+
+
+def test_gram_spectra_solve_each_distinct_stack_once(monkeypatch):
+    # A realized right factor needs no eigvalsh and no stack; a nested one
+    # needs one call per distinct stack leaf and middle block; a factor built
+    # through the constructor, one stack per fiber, one call per (l, j) pair.
+    calls = _count_solver(monkeypatch, "eigvalsh")
+    rng = np.random.default_rng(62)
+    shared = 0
+    for _ in range(40):
+        a, b, c, d = (random_algebra(rng, zero_prob=0.0) for _ in range(4))
+        x, y = realize(random_corr(rng, a, b)), realize(random_corr(rng, b, c))
+        calls.clear()
+        InteriorTensor(x, y)
+        assert calls == [] and "_stacks" not in vars(y)
+        inner = InteriorTensor(
+            _rotate(realize(random_corr(rng, b, d)), rng, orthogonal=True),
+            realize(random_corr(rng, d, c)),
+        )
+        nested = inner.corr
+        calls.clear()
+        t = InteriorTensor(x, nested)
+        stacks = {k for parts in inner._layout for k, _ in parts}
+        middle = [j for j, dj in enumerate(x.module.fiber_dims) if dj]
+        assert len(calls) == len(stacks) * len(middle)
+        assert "_stacks" not in vars(nested)
+        shared += len(t.gram_blocks) - len(calls)
+        built = _single_stack(y)
+        calls.clear()
+        t = InteriorTensor(x, built)
+        assert calls == [(lam.size, lam.size) for _, lam in t.gram_blocks]
+    assert shared > 10
+
+
+def test_identity_spectra_allocate_nothing_of_the_fiber():
+    # C -> M_2 -> C [[1]] . [[1024]]: the right fiber is 2048 wide and its one
+    # Gram block 4096 x 4096, yet the spectrum is read off the block sizes.
+    x, y = realize(CorrClass(C1, M2, ((1,),))), realize(CorrClass(M2, C1, ((1024,),)))
+    t, peak = _traced_peak(InteriorTensor, x, y)
+    assert peak < 2**20
+    assert t.gram_norm == 2.0 and t._layout == (((0, 1024),),)
+    norm, peak = _traced_peak(interior_tensor_norm, x, y)
+    assert peak < 2**20 and norm == 2.0
+    assert "_stacks" not in vars(y)
+
+
+# Largest relative defect of <embed(x, y), embed(u, v)> = <y, <x, u> v>.
+ISOMETRY_TOL = 1e-9
+
+
+def _assert_embed_is_an_isometry(t, rng):
+    x, y = t._x, t._y
+    xe, ue = x.module.random_element(rng), x.module.random_element(rng)
+    ye, ve = y.module.random_element(rng), y.module.random_element(rng)
+    got = t.corr.module.inner_product(t.embed(xe, ye), t.embed(ue, ve))
+    want = y.module.inner_product(ye, y.apply(x.module.inner_product(xe, ue), ve))
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max(initial=0.0) <= ISOMETRY_TOL * max(1.0, np.abs(w).max(initial=0.0))
+
+
+def test_embed_is_an_isometry():
+    # embed maps x (x) y to the quotient; the quotient's inner product must be
+    # the tensor form, on dense (rotated) factors and on tensors of tensors,
+    # whose middle blocks of size >= 2 tell sqrt(lambda) from lambda apart.
+    rng = np.random.default_rng(63)
+    wide = 0
+    for case in range(30):
+        a, b, c = (random_algebra(rng, zero_prob=0.0) for _ in range(3))
+        x = _rotate(realize(random_corr(rng, a, b)), rng, orthogonal=case % 2 == 0)
+        y = _rotate(realize(random_corr(rng, b, c)), rng, orthogonal=case % 2 == 1)
+        t = InteriorTensor(x, y)
+        _assert_embed_is_an_isometry(t, rng)
+        d = random_algebra(rng, zero_prob=0.0)
+        outer = InteriorTensor(
+            InteriorTensor(x, realize(identity_corr(b))).corr,
+            InteriorTensor(y, realize(random_corr(rng, c, d))).corr,
+        )
+        _assert_embed_is_an_isometry(outer, rng)
+        wide += any(b.blocks[j] > 1 for parts in t._layout for j, _ in parts)
+    assert wide > 10
