@@ -7,7 +7,6 @@ rerun reproduces the transcript byte for byte.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
@@ -17,7 +16,6 @@ import numpy as np
 from .algebras import ZERO_ALGEBRA, FdCStarAlgebra
 from .cardinal import INF
 from .concrete import (
-    GRAM_NULL_TOL,
     VANISH_TOL,
     classify,
     interior_tensor,
@@ -100,22 +98,19 @@ def random_corr(
 
 
 def enumerate_algebras() -> tuple[FdCStarAlgebra, ...]:
-    """The zero algebra, then every algebra of one or two blocks of size at
-    most two, shortest first."""
-    shapes = [()] + [s for r in (1, 2) for s in itertools.product((1, 2), repeat=r)]
-    return tuple(FdCStarAlgebra(shape) for shape in shapes)
+    """The algebras of at most two blocks, each of size one: the zero
+    algebra, C and C + C.  A symbolic verdict reads the multiplicity matrix
+    and never a block size (M_n is Morita equivalent to C), so these stand
+    for every algebra of at most two blocks, any sizes."""
+    return tuple(FdCStarAlgebra((1,) * r) for r in range(3))
 
 
-@functools.cache
 def enumerate_corrs(
     source: FdCStarAlgebra, target: FdCStarAlgebra, max_entry: int
 ) -> tuple[CorrClass, ...]:
-    """All classes between two algebras with entries bounded by `max_entry`.
-
-    The result is one tuple shared by every caller in the process, so each
-    class is built once; it is meant for small algebras.  Over
-    `enumerate_algebras()` the tables hold 341, 1,465 and 4,381 classes in
-    all at bounds 1, 2 and 3.
+    """All classes between two algebras with entries bounded by `max_entry`,
+    meant for small algebras.  Over `enumerate_algebras()` the tables hold
+    31, 107 and 297 classes in all at bounds 1, 2 and 3.
     """
     r, s = source.block_count, target.block_count
     return tuple(
@@ -126,8 +121,7 @@ def enumerate_corrs(
 
 def enumerate_chains(length: int) -> Iterator[tuple[CorrClass, ...]]:
     """Every chain of `length` composable classes with entries at most one
-    over `enumerate_algebras()`, ordered by their endpoints first; the
-    classes come from the shared `enumerate_corrs` tables."""
+    over `enumerate_algebras()`, ordered by their endpoints first."""
     for ends in itertools.product(enumerate_algebras(), repeat=length + 1):
         yield from itertools.product(*(enumerate_corrs(p, q, 1) for p, q in zip(ends, ends[1:])))
 
@@ -265,10 +259,9 @@ def suite_tensor_oracle(
     max_blocks: int = 3,
     max_size: int = 3,
     max_entry: int = 2,
-    null_tol: float = GRAM_NULL_TOL,
 ) -> SuiteResult:
     """Numeric cross-check: classify(realize(K) (x) realize(L)) = K * L,
-    plus the realize/classify roundtrip; `null_tol` is the Gram null cutoff."""
+    plus the realize/classify roundtrip."""
     fails = []
     for n in range(cases):
         a = random_algebra(rng, max_blocks, max_size)
@@ -279,7 +272,7 @@ def suite_tensor_oracle(
         rk = realize(k)
         if classify(rk) != k:
             fails.append(f"case {n}: roundtrip failed for {k!r}")
-        got = classify(interior_tensor(rk, realize(l), null_tol))
+        got = classify(interior_tensor(rk, realize(l)))
         if got != compose(k, l):
             fails.append(f"case {n}: oracle mismatch {k!r} * {l!r} -> {got!r}")
     return SuiteResult("tensor oracle", cases, tuple(fails))
@@ -324,19 +317,14 @@ def suite_short_exact_theorem() -> SuiteResult:
     """Exhaustive check of check_short_exact against the definition of
     exactness for 0 -> A -> B -> C -> 0: subobject equality of the Schubert
     image and kernel inclusions at each of the three nodes.  Covers every
-    algebra with at most two blocks of size at most two and entries at most
-    one."""
+    algebra of at most two blocks, any sizes, and entries at most one."""
     fails = []
     cases = 0
-    algebras = enumerate_algebras()
-    lead = {a: zero_corr(ZERO_ALGEBRA, a) for a in algebras}
-    tail = {c: zero_corr(c, ZERO_ALGEBRA) for c in algebras}
-    # Only 341 classes and the zero ends occur, so each side is built once per class.
-    image, ker = functools.cache(schubert_image), functools.cache(kernel)
     for x, y in enumerate_chains(2):
         cases += 1
-        nodes = ((lead[x.source], x), (x, y), (y, tail[y.target]))
-        definition = all(image(f) == ker(g) for f, g in nodes)
+        lead, tail = zero_corr(ZERO_ALGEBRA, x.source), zero_corr(y.target, ZERO_ALGEBRA)
+        nodes = ((lead, x), (x, y), (y, tail))
+        definition = all(schubert_image(f) == kernel(g) for f, g in nodes)
         if check_short_exact(x, y).exact != definition:
             fails.append(f"disagreement for {x!r} and {y!r}")
     return SuiteResult("short exact theorem", cases, tuple(fails))
@@ -380,7 +368,6 @@ def run_random_checks(
     seed: int = 0,
     counts: dict | None = None,
     bounds: dict | None = None,
-    null_tol: float = GRAM_NULL_TOL,
 ) -> RandomCheckReport:
     """Run every invariant suite with child seeds derived from `seed`."""
     cfg = dict(DEFAULT_COUNTS)
@@ -410,7 +397,7 @@ def run_random_checks(
         suite_compose_laws(rngs[0], cfg["laws"], mb, ms, me),
         suite_universal_properties(rngs[1], cfg["universal"], mb, ms, me),
         suite_schubert_identities(rngs[2], cfg["schubert"], mb, ms, me),
-        suite_tensor_oracle(rngs[3], cfg["oracle"], mb, ms, me, null_tol),
+        suite_tensor_oracle(rngs[3], cfg["oracle"], mb, ms, me),
         suite_zero_tensor(rngs[4], cfg["zero_tensor"], mb, ms, me),
         suite_short_exact_theorem(),
     )

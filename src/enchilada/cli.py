@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .checks import run_random_checks
-from .concrete import GRAM_NULL_TOL, InteriorTensor, classify, realize
+from .concrete import InteriorTensor, classify, realize
 from .corr import (
     CorrClass,
     cokernel,
@@ -65,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-blocks", type=int)
     p.add_argument("--max-dim", type=int, help="largest block size")
     p.add_argument("--max-entry", type=int)
-    p.add_argument("--tolerance", type=float, help="relative Gram null cutoff")
     p.add_argument(
         "--json-only", action="store_true", help="suppress the human-readable summary"
     )
@@ -181,15 +180,6 @@ def _need(obj, what: str):
     return obj
 
 
-def _tolerance(args) -> float:
-    if args.tolerance is None:
-        return GRAM_NULL_TOL
-    # Also false for NaN; at 1 or above the Gram cutoff drops every eigenvalue.
-    if not 0.0 < args.tolerance < 1.0:
-        raise ValidationError(f"--tolerance must lie in (0, 1), got {args.tolerance!r}")
-    return args.tolerance
-
-
 def _pair(obj) -> tuple:
     obj = _need(obj, "this verb")
     if not isinstance(obj, dict) or "x" not in obj or "y" not in obj:
@@ -289,12 +279,11 @@ def _run_check_exact(verb, obj, args):
 
 
 def _run_oracle_tensor(verb, obj, args):
-    null_tol = _tolerance(args)
     x, y = _pair(obj)
     if not (x.all_finite and y.all_finite):
         raise ValidationError("oracle-tensor requires finite multiplicities")
     symbolic = compose(x, y)
-    tensor = InteriorTensor(realize(x), realize(y), null_tol)
+    tensor = InteriorTensor(realize(x), realize(y))
     numeric = classify(tensor.corr)
     match = numeric == symbolic
     report = {
@@ -350,7 +339,7 @@ def _run_random_check(verb, obj, args):
         "max_entry": args.max_entry,
     }
     bounds = {key: value for key, value in given.items() if value is not None}
-    report = run_random_checks(args.seed, counts, bounds, _tolerance(args))
+    report = run_random_checks(args.seed, counts, bounds)
     out = {"verb": "random-check", **report.to_json()}
 
     def lines():

@@ -4,7 +4,9 @@ Each entry builds a small construction (a full morphism that is not an
 epimorphism, a vanishing tensor product, a non-cancellative direct sum, ...)
 and records every claim about it as a passed or failed step; several steps
 confirm the claim on an exhaustive enumeration of small classes or against
-the numeric oracle.
+the numeric oracle.  The enumerations run over unit blocks; no symbolic
+verdict reads a block size, so each bounded claim holds for every algebra of
+at most two blocks, whatever their sizes.
 """
 
 from __future__ import annotations

@@ -82,11 +82,11 @@ def test_criterion_4_schubert_identities():
 def test_criterion_5_short_exact_theorem():
     started = time.perf_counter()
     result = suite_short_exact_theorem()
-    assert result.cases == 22247  # blocks <= 2, block sizes <= 2, entries <= 1
+    assert result.cases == 499  # blocks <= 2, any sizes, entries <= 1
     ok = _report(
         5, "short-exact theorem equivalence", result.ok,
         f"{result.cases} sequences, {len(result.failures)} disagreements",
-        started, 60.0,
+        started, 5.0,
     )
     assert ok, result.failures[:5]
 

@@ -240,32 +240,6 @@ def test_oracle_tensor_rejects_oversized_fiber(capsys):
     assert "exceeds" in report["error"]
 
 
-def test_oracle_tensor_rejects_bad_tolerance(capsys):
-    # NaN would count every Gram eigenvalue as null and report a false mismatch.
-    pair = {
-        "x": {"source": {"blocks": [1]}, "target": {"blocks": [1]}, "matrix": [[2]]},
-        "y": {"source": {"blocks": [1]}, "target": {"blocks": [1]}, "matrix": [[1]]},
-    }
-    for tol in ("nan", "inf", "-inf", "0", "1", "-1e-3"):
-        code, report = run_json(
-            capsys, "oracle-tensor", "--input", json.dumps(pair), f"--tolerance={tol}"
-        )
-        assert code == 2, tol
-        assert "--tolerance must lie in (0, 1)" in report["error"]
-    code, report = run_json(
-        capsys, "oracle-tensor", "--input", json.dumps(pair), "--tolerance", "1e-3"
-    )
-    assert code == 0
-    assert report["fiber_dims"] == [2]
-    # The option is checked before either factor is realized.
-    pair["x"]["matrix"] = [[1000000000]]
-    code, report = run_json(
-        capsys, "oracle-tensor", "--input", json.dumps(pair), "--tolerance=nan"
-    )
-    assert code == 2
-    assert "--tolerance must lie in (0, 1)" in report["error"]
-
-
 def test_classify_predicates(capsys):
     code, report = run_json(capsys, "classify-predicates", "--input", json.dumps(X_JSON))
     assert code == 0
@@ -384,35 +358,6 @@ def test_random_check_rejects_bad_seed(capsys):
             run_random_checks(seed)
 
 
-def test_random_check_rejects_bad_tolerance(capsys):
-    # As a relative Gram cutoff, NaN or anything at or above 1 drops every eigenvalue.
-    for tol in ("nan", "inf", "0", "1"):
-        code, report = run_json(capsys, "random-check", f"--tolerance={tol}")
-        assert code == 2, tol
-        assert "--tolerance must lie in (0, 1)" in report["error"]
-
-
-def test_tolerance_is_the_gram_cutoff_for_both_verbs(capsys):
-    # The Gram blocks of this pair have top eigenvalues 1 and 2, the sizes of
-    # their middle blocks.  The cutoff is the tolerance times each block's
-    # size, so at 0.99 both summands are kept; a cutoff relative to the largest
-    # block (1.98 absolute) dropped the first and lost a summand.
-    pair = {
-        "x": {"source": {"blocks": [1]}, "target": {"blocks": [1, 2]}, "matrix": [[1, 1]]},
-        "y": {"source": {"blocks": [1, 2]}, "target": {"blocks": [1]}, "matrix": [[1], [1]]},
-    }
-    code, report = run_json(
-        capsys, "oracle-tensor", "--input", json.dumps(pair), "--tolerance", "0.99"
-    )
-    assert code == 0
-    assert report["match"] is True
-    assert report["fiber_dims"] == [2]
-    for tolerance in ("0.5", "0.99"):
-        code, report = run_json(capsys, "random-check", "--seed", "1", "--tolerance", tolerance)
-        assert code == 0
-        assert [s["name"] for s in report["suites"] if s["failures"]] == []
-
-
 def test_human_summary_plus_json(capsys):
     code = main(["kernel", "--input", json.dumps(Y_JSON)])
     out = capsys.readouterr().out
@@ -455,19 +400,20 @@ def test_algebra_block_count_is_capped(capsys, blocks, code):
 
 def test_calls_in_one_process_print_what_fresh_processes_print(capsys):
     # main parses every call with one argparse parser, so nothing one call
-    # sets (--tolerance, --json-only, --seed) may reach the next.
+    # sets (--json-only, --seed) may reach the next.
     pair = json.dumps({
         "x": {"source": {"blocks": [1]}, "target": {"blocks": [1, 2]}, "matrix": [[1, 1]]},
         "y": {"source": {"blocks": [1, 2]}, "target": {"blocks": [1]}, "matrix": [[1], [1]]},
     })
     counts = json.dumps({"laws": 1, "universal": 1, "schubert": 1, "oracle": 1, "zero_tensor": 1})
     calls = [
-        ["oracle-tensor", "--input", pair, "--tolerance", "0.99"],
+        ["oracle-tensor", "--input", pair],
         ["oracle-tensor", "--input", pair, "--json-only"],
         ["kernel", "--input", json.dumps(Y_JSON)],
         ["random-check", "--seed", "-1", "--json-only"],
         ["random-check", "--input", counts],
         ["kernel", "--input", json.dumps(Y_JSON), "--seed", "x"],
+        ["oracle-tensor", "--input", pair, "--tolerance", "0.99"],  # a retired option
     ]
     src = str(Path(enchilada.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -487,6 +433,7 @@ def test_calls_in_one_process_print_what_fresh_processes_print(capsys):
             captured = capsys.readouterr()
             out, err = proc.communicate(timeout=120)
             assert (code, captured.out, captured.err) == (proc.returncode, out, err), argv
+        assert code == 2 and "unrecognized arguments: --tolerance 0.99" in err
     finally:
         for proc in procs:
             proc.kill()

@@ -19,7 +19,6 @@ from enchilada import (
     compacts_span_defect,
     compose,
     dual_concrete,
-    enumerate_algebras,
     enumerate_corrs,
     identity_corr,
     interior_tensor,
@@ -40,6 +39,7 @@ from enchilada import (
 from enchilada import concrete
 from enchilada.concrete import ConcreteCorr, ConcreteModule
 from compacts_reference import compacts_span_defect as reference_compacts
+from sized_algebras import SIZED_ALGEBRAS
 
 C1 = make_algebra([1])
 C2 = make_algebra([1, 1])
@@ -546,7 +546,7 @@ def _partial_permutations(a, b):
 def test_dual_tensor_identities():
     # dual (x) X recovers the right support diagonal, X (x) dual the left one
     rng = np.random.default_rng(26)
-    algebras = tuple(a for a in enumerate_algebras() if not a.is_zero)
+    algebras = SIZED_ALGEBRAS[1:]
     pairs = [
         (a, b)
         for a, b in itertools.product(algebras, repeat=2)
@@ -616,7 +616,7 @@ def test_hilbert_bimodule_oracle():
 
 
 def test_hilbert_bimodule_oracle_agrees_with_matrix_criterion():
-    algebras = tuple(a for a in enumerate_algebras() if not a.is_zero)
+    algebras = SIZED_ALGEBRAS[1:]
     for a, b in itertools.product(algebras[:3], repeat=2):
         for kind in enumerate_corrs(a, b, 2):
             numeric = compacts_span_defect(realize(kind)) < 1e-8
@@ -625,10 +625,10 @@ def test_hilbert_bimodule_oracle_agrees_with_matrix_criterion():
 
 def test_compacts_defect_matches_the_rank_one_reference():
     # Against rank_one on every pair of basis vectors: each class with entries
-    # at most 2 over the nonzero enumerated algebras, 100 of them unitarily
+    # at most 2 over the nonzero sized algebras, 100 of them unitarily
     # rotated, and the zero source on a nonzero fiber.
     rng = np.random.default_rng(49)
-    algebras = tuple(a for a in enumerate_algebras() if not a.is_zero)
+    algebras = SIZED_ALGEBRAS[1:]
     cases = [
         realize(kind)
         for a, b in itertools.product(algebras, repeat=2)
@@ -1203,6 +1203,15 @@ def test_tensor_refuses_a_null_tol_outside_the_unit_interval(null_tol):
         with pytest.raises(ValidationError, match=r"null_tol must lie in \(0, 1\)"):
             tensor(x, y, null_tol)
     assert classify(interior_tensor(x, y, 0.5)) == CorrClass(C1, C1, ((1,),))
+    # Over C -> C + M_2 -> C the Gram blocks of [[1, 1]] . [[1], [1]] have top
+    # eigenvalues 1 and 2, the sizes of their middle blocks.  The cutoff is
+    # null_tol times each block's size, so at 0.99 both summands are kept; a
+    # cutoff relative to the largest block (1.98 absolute) dropped the first.
+    c_m2 = make_algebra([1, 2])
+    x, y = realize(CorrClass(C1, c_m2, ((1, 1),))), realize(CorrClass(c_m2, C1, ((1,), (1,))))
+    t = interior_tensor(x, y, 0.99)
+    assert t.module.fiber_dims == (2,)
+    assert classify(t) == CorrClass(C1, C1, ((2,),))
 
 
 def test_norm_reads_the_gram_spectra_only(monkeypatch):
