@@ -1203,6 +1203,9 @@ def test_tensor_refuses_a_null_tol_outside_the_unit_interval(null_tol):
         with pytest.raises(ValidationError, match=r"null_tol must lie in \(0, 1\)"):
             tensor(x, y, null_tol)
     assert classify(interior_tensor(x, y, 0.5)) == CorrClass(C1, C1, ((1,),))
+
+
+def test_gram_cutoff_is_null_tol_times_each_block_size():
     # Over C -> C + M_2 -> C the Gram blocks of [[1, 1]] . [[1], [1]] have top
     # eigenvalues 1 and 2, the sizes of their middle blocks.  The cutoff is
     # null_tol times each block's size, so at 0.99 both summands are kept; a
