@@ -14,7 +14,7 @@ from enchilada import (
     InteriorTensor,
     classify,
     compose,
-    dual_concrete,
+    dual,
     interior_tensor,
     interior_tensor_norm,
     make_algebra,
@@ -60,7 +60,7 @@ print("\na rank-one operator on the C^2 module:\n", theta[0])
 # Duals of Hilbert bimodules: tensoring recovers the support ideals.
 H = CorrClass(B, B, [[0, 1], [0, 0]])
 h = realize(H)
-hd = dual_concrete(h)
+hd = realize(dual(H))
 print("\ndual of", H, "classifies to", classify(hd))
 print("dual (x) H  ->", classify(interior_tensor(hd, h)))
 print("H (x) dual  ->", classify(interior_tensor(h, hd)))

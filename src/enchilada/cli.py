@@ -49,6 +49,12 @@ RANK_TEST_CAVEAT = (
     "full category"
 )
 
+# The largest r * s * min(r, s) * (bit length of the largest entry) of an r x s
+# class whose rank probes run: fraction-free elimination grows its minors with
+# every pivot, and the slowest inputs at this size take about 2 s on a 2-vCPU
+# x86-64 VM (DECISIONS.md).
+RANK_BUDGET = 8_000_000
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -213,7 +219,12 @@ def _run_ideal_verb(verb, obj, args):
 
 def _run_predicates(verb, obj, args):
     x = corr_from_json(_need(obj, verb))
-    finite = x.all_finite
+    skip = None if x.all_finite else "skipped: infinite entries present"
+    if skip is None:
+        r, s = x.source.block_count, x.target.block_count
+        bits = max((max(row) for row in x.matrix if row), default=0).bit_length()
+        if r * s * min(r, s) * bits > RANK_BUDGET:
+            skip = f"skipped: the class exceeds the rank budget of {RANK_BUDGET}"
     preds = {
         "is_zero": x.is_zero,
         "is_full": is_full(x),
@@ -229,11 +240,11 @@ def _run_predicates(verb, obj, args):
         ("epi_finite_rank_test", epi_finite_rank_test),
     ):
         entry = {"caveat": RANK_TEST_CAVEAT}
-        if finite:
+        if skip is None:
             entry["value"] = fn(x)
         else:
             entry["value"] = None
-            entry["note"] = "skipped: infinite entries present"
+            entry["note"] = skip
         rank_tests[name] = entry
     report = {
         "verb": "classify-predicates",

@@ -27,7 +27,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .algebras import FdCStarAlgebra
-from .corr import CorrClass, dual as dual_class, is_hilbert_bimodule
+from .corr import CorrClass
 from .errors import ValidationError
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "interior_tensor",
     "interior_tensor_norm",
     "is_isomorphic",
-    "dual_concrete",
     "rank_one",
     "compacts_span_defect",
     "GRAM_NULL_TOL",
@@ -284,15 +283,18 @@ class ConcreteCorr:
         return tuple(self.action_matrix(j, a) @ xj for j, xj in enumerate(x))
 
 
-def _leaves(s, mu: int = 1, out=None) -> dict:
-    # Each stack and identity block of summand s, nested too: key -> [leaf,
-    # multiplicity]. Blocks are keyed by value, stacks by identity.
-    out = {} if out is None else out
-    if isinstance(s, tuple):
+def _leaves(s, mu: int = 1, out=None) -> tuple[dict, dict]:
+    # The leaves of summand s, nested too, in two tables: ids maps source
+    # block i to the multiplicity of its identity, stacks id(stack) to
+    # [stack, multiplicity].
+    ids, stacks = out = ({}, {}) if out is None else out
+    if isinstance(s, int):
+        ids[s] = ids.get(s, 0) + mu
+    elif isinstance(s, tuple):
         for m, part in s:
             _leaves(part, mu * m, out)
     else:
-        out.setdefault((s,) if isinstance(s, int) else id(s), [s, 0])[1] += mu
+        stacks.setdefault(id(s), [s, 0])[1] += mu
     return out
 
 
@@ -322,7 +324,7 @@ def _assemble(plan: _Plan, s, d: int) -> np.ndarray:
     any other is built float64 unless a stack among its leaves is complex."""
     if isinstance(s, np.ndarray):
         return s
-    wide = any(not isinstance(v, int) and v.dtype.kind == "c" for v, _ in _leaves(s).values())
+    wide = any(v.dtype.kind == "c" for v, _ in _leaves(s)[1].values())
     stack = np.zeros((plan.off[-1], d, d), dtype=complex if wide else float)
     _fill(stack, s, plan)
     stack.setflags(write=False)
@@ -392,21 +394,19 @@ def _report(plan: _Plan, tables) -> ValidationReport:
     # e_pq = e_p1 e_1q and (R2) e_1p e_q1 = delta_pq e_11 in each block and
     # (R3) P_i P_k = 0 across blocks give every product relation, and with them
     # e_{1p}^* = e_{p1} gives every adjoint.  tables holds each fiber's leaves.
-    seen, stacks, identity_sums = set(), [], []
-    for table in tables:
-        ids = []
-        for key, (s, _) in table.items():
-            if key not in seen:
-                seen.add(key)
-                (ids if isinstance(s, int) else stacks).append(s)
-        if ids:
-            d = sum(plan.blocks[i] for i in ids)
-            identity_sums.append(_assemble(plan, tuple((1, i) for i in ids), d))
+    seen, stacks, identity_sums = set(), {}, []
+    for ids, fiber_stacks in tables:
+        new = [i for i in ids if i not in seen]
+        seen.update(new)
+        stacks.update((key, s) for key, (s, _) in fiber_stacks.items())
+        if new:
+            d = sum(plan.blocks[i] for i in new)
+            identity_sums.append(_assemble(plan, tuple((1, i) for i in new), d))
     mult = adjoint = nondegeneracy = 0.0
     # A caller's non-finite or overflowing entry reads as an infinite violation,
     # so numpy's warning says nothing more; an identity sum of 0s and 1s cannot.
     with np.errstate(invalid="ignore", over="ignore") if stacks else contextlib.nullcontext():
-        for stack in stacks + identity_sums:
+        for stack in [*stacks.values(), *identity_sums]:
             d = stack.shape[1]
             if d == 0:
                 continue
@@ -442,14 +442,12 @@ def validate(x: ConcreteCorr) -> ValidationReport:
     return _report(_plan(x.source.blocks), map(_leaves, x._fibers))
 
 
-def _traces(table: dict, plan: _Plan) -> list:
-    # The traces of the e_{i11} images on a fiber with these leaves: their sum.
-    tr = [0.0] * len(plan.blocks)
-    for s, mu in table.values():
-        if isinstance(s, int):
-            tr[s] += mu  # block s's identity: trace 1 at i = s, 0 elsewhere
-        else:
-            tr = [a + mu * b for a, b in zip(tr, s[plan.off[:-1]].trace(axis1=1, axis2=2).tolist())]
+def _traces(ids: dict, stacks: dict, plan: _Plan) -> list:
+    # The traces of the e_{i11} images on a fiber with these leaves: their sum,
+    # to which block i's identity adds 1 at i alone.
+    tr = [float(ids.get(i, 0)) for i in range(len(plan.blocks))]
+    for s, mu in stacks.values():
+        tr = [a + mu * b for a, b in zip(tr, s[plan.off[:-1]].trace(axis1=1, axis2=2).tolist())]
     return tr
 
 
@@ -468,7 +466,7 @@ def classify(x: ConcreteCorr) -> CorrClass:
             f"action fails validation: {report.failures()} "
             f"(max violation {report.max_violation:.3e})"
         )
-    traces = [_traces(table, plan) for table in tables]
+    traces = [_traces(*table, plan) for table in tables]
     rows = []
     for i in range(x.source.block_count):
         row = []
@@ -489,21 +487,19 @@ def _gram_block(stack: np.ndarray, blocks: tuple[int, ...], j: int) -> np.ndarra
     return (r + r.conj().T) / 2.0
 
 
-def _spectrum(table: dict, blocks: tuple[int, ...], j: int, e: int, solved: dict) -> np.ndarray:
+def _spectrum(leaves: tuple, blocks: tuple[int, ...], j: int, e: int, solved: dict) -> np.ndarray:
     # R's ascending spectrum for middle block j on a fiber of width e with these
     # leaves, the union of theirs (DECISIONS.md): a copy of block j's identity
     # gives one m, other identities zeros, a stack its R's eigvalsh, solved once.
-    m, tops, stacks = blocks[j], table.get((j,), (j, 0))[1], []
-    for key, (s, mu) in table.items():
-        if not isinstance(s, int):
-            if (key, j) not in solved:
-                solved[key, j] = np.linalg.eigvalsh(_gram_block(s, blocks, j))
-            stacks += [solved[key, j]] * mu
-    if len(stacks) == 1 and len(stacks[0]) == m * e:
-        return stacks[0]  # a fiber that is one stack
-    zeros = np.zeros(m * e - tops - sum(map(len, stacks)))
-    lam = np.concatenate([*stacks, zeros, np.full(tops, float(m))])
-    return np.sort(lam) if stacks else lam
+    ids, stacks = leaves
+    m, tops, lams = blocks[j], ids.get(j, 0), []
+    for key, (s, mu) in stacks.items():
+        if (key, j) not in solved:
+            solved[key, j] = np.linalg.eigvalsh(_gram_block(s, blocks, j))
+        lams += [solved[key, j]] * mu
+    zeros = np.zeros(m * e - tops - sum(map(len, lams)))
+    lam = np.concatenate([*lams, zeros, np.full(tops, float(m))])
+    return np.sort(lam) if lams else lam
 
 
 class InteriorTensor:
@@ -543,15 +539,15 @@ class InteriorTensor:
         blocks, dx, ey = y.source.blocks, x.module.fiber_dims, y.module.fiber_dims
         spectra, solved = [], {}  # each (l, j) with both fibers nonzero and its spectrum
         for l in (l for l, e in enumerate(ey) if e and any(dx)):
-            table = _leaves(y._fibers[l])
+            leaves = _leaves(y._fibers[l])
             # eigvalsh would read a non-finite entry of R as a number, so each stack
             # is checked first.  With min <= 0 <= max, a spread of at most half the
             # largest float keeps R = (r + r^*) / 2 finite; NaN fails.
-            for v in (v.view(float) for v, _ in table.values() if not isinstance(v, int)):
+            for v in (v.view(float) for v, _ in leaves[1].values()):
                 if not v.max(initial=0.0) <= v.min(initial=0.0) + np.finfo(float).max / 2:
                     raise ValidationError("tensor Gram form has a non-finite entry")
             for j in (j for j, d in enumerate(dx) if d):
-                spectra.append(((l, j), _spectrum(table, blocks, j, ey[l], solved)))
+                spectra.append(((l, j), _spectrum(leaves, blocks, j, ey[l], solved)))
         gram_norm = max([0.0] + [float(lam[-1]) for _, lam in spectra])
         cut = null_tol * max(1.0, gram_norm)
         if min([0.0] + [float(lam[0]) for _, lam in spectra]) < -cut:
@@ -627,20 +623,6 @@ def is_isomorphic(x: ConcreteCorr, y: ConcreteCorr) -> bool:
     if x.source != y.source or x.target != y.target:
         raise ValidationError("isomorphism comparison requires equal endpoints")
     return classify(x) == classify(y)
-
-
-def dual_concrete(x: ConcreteCorr) -> ConcreteCorr:
-    """The dual of a concrete Hilbert bimodule.
-
-    The dual swaps the module structures (b x~ a = (a* x b*)~), which on
-    multiplicity matrices is transposition; this returns the canonical model
-    of the transposed class, the dual up to isomorphism.  Tensoring with x
-    on either side recovers the support ideals as diagonal classes.
-    """
-    kind = classify(x)
-    if not is_hilbert_bimodule(kind):
-        raise ValidationError("dual requires a Hilbert bimodule (partial permutation class)")
-    return realize(dual_class(kind))
 
 
 def rank_one(x, y) -> tuple[np.ndarray, ...]:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import enchilada
 from enchilada import INF, CorrClass, ValidationError, make_algebra, run_random_checks
 from enchilada import identity_corr, quirks, schubert_image, zero_corr
-from enchilada.cli import _dumps, main
+from enchilada.cli import RANK_BUDGET, _dumps, main
 from enchilada.jsonio import corr_to_json
 
 X_JSON = {"source": {"blocks": [1]}, "target": {"blocks": [1, 1]}, "matrix": [[1, 0]]}
@@ -267,6 +268,36 @@ def test_classify_predicates_inf_skips_rank_tests(capsys):
     assert code == 0
     assert report["rank_tests"]["mono_finite_rank_test"]["value"] is None
     assert "caveat" in report["rank_tests"]["epi_finite_rank_test"]
+
+
+def _square(n, entry):
+    # An n x n class between algebras of n unit blocks with entry at (0, 0).
+    algebra = {"blocks": [1] * n}
+    matrix = [[0] * n for _ in range(n)]
+    matrix[0][0] = entry
+    return {"source": algebra, "target": algebra, "matrix": matrix}
+
+
+def test_classify_predicates_skips_rank_tests_over_the_budget(capsys):
+    # 64 x 64 with 400-digit entries runs for minutes through elimination.
+    big = {"source": {"blocks": [1] * 64}, "target": {"blocks": [1] * 64}}
+    big["matrix"] = [[10**399 + 7 * i + j for j in range(64)] for i in range(64)]
+    started = time.perf_counter()
+    code, report = run_json(capsys, "classify-predicates", "--input", json.dumps(big))
+    assert time.perf_counter() - started < 1.0
+    assert code == 0 and report["predicates"]["is_full"] is True
+    for test in report["rank_tests"].values():
+        assert test["value"] is None and "rank budget" in test["note"]
+    # At the budget the probes run; an entry one bit longer skips them.
+    n = round(RANK_BUDGET ** (1 / 3))
+    while n**3 > RANK_BUDGET:
+        n -= 1
+    code, report = run_json(capsys, "classify-predicates", "--input", json.dumps(_square(n, 1)))
+    assert code == 0
+    assert [test["value"] for test in report["rank_tests"].values()] == [False, False]
+    assert not any("note" in test for test in report["rank_tests"].values())
+    code, report = run_json(capsys, "classify-predicates", "--input", json.dumps(_square(n, 2)))
+    assert all(test["value"] is None for test in report["rank_tests"].values())
 
 
 def test_gallery_verb(capsys):

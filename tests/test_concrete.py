@@ -18,7 +18,7 @@ from enchilada import (
     classify,
     compacts_span_defect,
     compose,
-    dual_concrete,
+    dual,
     enumerate_corrs,
     identity_corr,
     interior_tensor,
@@ -526,17 +526,6 @@ def test_is_isomorphic():
         is_isomorphic(x, y)
 
 
-def test_dual_concrete():
-    assert classify(dual_concrete(realize(identity_corr(C2)))) == identity_corr(C2)
-
-    c3 = make_algebra([1, 1, 1])
-    x = realize(CorrClass(C1, c3, ((0, 1, 0),)))
-    assert classify(dual_concrete(x)) == CorrClass(c3, C1, ((0,), (1,), (0,)))
-
-    with pytest.raises(ValidationError):
-        dual_concrete(realize(CorrClass(C1, C2, ((1, 1),))))
-
-
 def _partial_permutations(a, b):
     for x in enumerate_corrs(a, b, 1):
         if is_hilbert_bimodule(x):
@@ -555,7 +544,7 @@ def test_dual_tensor_identities():
     for a, b in pairs[:6]:
         for kind in _partial_permutations(a, b):
             x = realize(kind)
-            xd = dual_concrete(x)
+            xd = realize(dual(kind))
             left = classify(interior_tensor(x, xd))
             right = classify(interior_tensor(xd, x))
             rows = {i for i in range(a.block_count) if any(kind.matrix[i])}
@@ -1715,7 +1704,8 @@ def test_gram_spectra_match_the_assembled_fiber():
 def test_gram_spectra_solve_each_distinct_stack_once(monkeypatch):
     # A realized right factor needs no eigvalsh and no stack; a nested one
     # needs one call per distinct stack leaf and middle block; a factor built
-    # through the constructor, one stack per fiber, one call per (l, j) pair.
+    # through the constructor, one stack per fiber, one call per (l, j) pair,
+    # whose spectrum is that call's result bit for bit.
     calls = _count_solver(monkeypatch, "eigvalsh")
     rng = np.random.default_rng(62)
     shared = 0
@@ -1741,6 +1731,9 @@ def test_gram_spectra_solve_each_distinct_stack_once(monkeypatch):
         calls.clear()
         t = InteriorTensor(x, built)
         assert calls == [(lam.size, lam.size) for _, lam in t.gram_blocks]
+        for (l, j), lam in t.gram_blocks:
+            r = concrete._gram_block(built._stacks[l], built.source.blocks, j)
+            assert np.array_equal(lam, np.linalg.eigvalsh(r))
     assert shared > 10
 
 
