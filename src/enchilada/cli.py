@@ -20,7 +20,7 @@ from .corr import (
     CorrClass,
     cokernel,
     compose,
-    epi_finite_rank_test,
+    finite_rank_tests,
     is_full,
     is_hilbert_bimodule,
     is_invertible,
@@ -28,7 +28,6 @@ from .corr import (
     is_split_mono,
     kernel,
     left_kernel,
-    mono_finite_rank_test,
     phi_injective,
     right_support,
     schubert_coimage,
@@ -51,8 +50,8 @@ RANK_TEST_CAVEAT = (
 
 # The largest r * s * min(r, s) * (bit length of the largest entry) of an r x s
 # class whose rank probes run: fraction-free elimination grows its minors with
-# every pivot, and the slowest inputs at this size take about 2 s on a 2-vCPU
-# x86-64 VM (DECISIONS.md).
+# every pivot, and the one rank both probes read takes about 1 s for the
+# slowest inputs at this size on a 2-vCPU x86-64 VM (DECISIONS.md).
 RANK_BUDGET = 8_000_000
 
 
@@ -234,18 +233,13 @@ def _run_predicates(verb, obj, args):
         "is_split_epi": is_split_epi(x),
         "is_invertible": is_invertible(x),
     }
+    # One rank of the matrix gives both probes.
+    values = (None, None) if skip else finite_rank_tests(x)
     rank_tests = {}
-    for name, fn in (
-        ("mono_finite_rank_test", mono_finite_rank_test),
-        ("epi_finite_rank_test", epi_finite_rank_test),
-    ):
-        entry = {"caveat": RANK_TEST_CAVEAT}
-        if skip is None:
-            entry["value"] = fn(x)
-        else:
-            entry["value"] = None
-            entry["note"] = skip
-        rank_tests[name] = entry
+    for name, value in zip(("mono_finite_rank_test", "epi_finite_rank_test"), values):
+        rank_tests[name] = {"caveat": RANK_TEST_CAVEAT, "value": value}
+        if skip:
+            rank_tests[name]["note"] = skip
     report = {
         "verb": "classify-predicates",
         "input": x,

@@ -58,7 +58,8 @@ GRAM_NULL_TOL = 1e-7
 CLASSIFY_TOL = 1e-6
 # Largest axiom violation an action may show and still pass validation.
 VALIDATE_TOL = 1e-9
-# A tensor product whose Gram norm lies below this is the zero module.
+# A tensor product whose Gram norm lies below this is the zero module; for
+# factors that pass validation the converse holds too (interior_tensor_norm).
 VANISH_TOL = 1e-9
 # Most entries, sum_i n_i^2 * sum_j d_j^2, that the unit-image arrays of one
 # action may hold together, whatever their dtype; larger correspondences are
@@ -152,12 +153,23 @@ class _Plan:
     off[i] + p n_i + q.  `checks`, built when a nonzero fiber is first
     checked, holds the axiom checks' read-only index arrays over those rows,
     5 N + (r + 5) S + 2 r (r - 1) numbers for N = sum_i n_i^2 and
-    S = sum_i n_i.  _plan keeps one plan per block tuple; its bound holds
-    all 84 tuples of at most 3 blocks of size <= 4."""
+    S = sum_i n_i; `eye(i)`, built when block i's identity is first filled,
+    the 3 n_i^2 indices of its 1s.  _plan keeps one plan per block tuple; its
+    bound holds all 84 tuples of at most 3 blocks of size <= 4."""
 
     def __init__(self, blocks: tuple[int, ...]):
         self.blocks = blocks
         self.off = list(itertools.accumulate((n * n for n in blocks), initial=0))
+        self._eye = {}
+
+    def eye(self, i: int) -> tuple[np.ndarray, ...]:
+        # (row, p, q) of each 1 of block i's identity image: E_pq at unit (i, p, q).
+        if i not in self._eye:
+            units = np.arange(self.blocks[i] ** 2)
+            self._eye[i] = (self.off[i] + units, *np.divmod(units, self.blocks[i]))
+            for arr in self._eye[i]:
+                arr.setflags(write=False)
+        return self._eye[i]
 
     @functools.cached_property
     def checks(self) -> SimpleNamespace:
@@ -303,9 +315,8 @@ def _fill(out: np.ndarray, s, plan: _Plan) -> int:
     # width: a stack as it is, block i's identity as E_pq at unit (i, p, q),
     # and parts copy-major, each first copy from its summand, the rest from it.
     if isinstance(s, int):
-        e = plan.blocks[s]
-        out[plan.off[s] : plan.off[s + 1], :e, :e] = np.eye(e * e).reshape(e * e, e, e)
-        return e
+        out[plan.eye(s)] = 1.0
+        return plan.blocks[s]
     if not isinstance(s, tuple):  # a stack
         out[:, : s.shape[1], : s.shape[1]] = s
         return s.shape[1]
@@ -321,10 +332,12 @@ def _fill(out: np.ndarray, s, plan: _Plan) -> int:
 
 def _assemble(plan: _Plan, s, d: int) -> np.ndarray:
     """The read-only stack of summand s, of width d: a stack is its own, and
-    any other is built float64 unless a stack among its leaves is complex."""
+    any other is built float64 unless a stack among its leaves is complex.
+    A sum of identities, which is what realize and _report make, has none."""
     if isinstance(s, np.ndarray):
         return s
-    wide = any(v.dtype.kind == "c" for v, _ in _leaves(s)[1].values())
+    ids_only = isinstance(s, int) or all(isinstance(part, int) for _, part in s)
+    wide = not ids_only and any(v.dtype.kind == "c" for v, _ in _leaves(s)[1].values())
     stack = np.zeros((plan.off[-1], d, d), dtype=complex if wide else float)
     _fill(stack, s, plan)
     stack.setflags(write=False)
@@ -376,15 +389,19 @@ _CHUNK_ENTRIES = 2**20
 
 def _residual(a, left, right, target) -> float:
     # The largest entry of a[left] @ a[right], less a[target] on the first
-    # len(target) rows, formed in chunks of rows.
-    worst, step = 0.0, max(1, _CHUNK_ENTRIES // a.shape[1] ** 2)
-    for s in range(0, len(left), step):
-        c = slice(s, s + step)
-        prod = a[left[c]] @ a[right[c]]
-        t = target[c]
-        prod[: len(t)] -= a[t]
-        worst = max(worst, _max_abs(prod))
-    return worst
+    # len(target) rows: none without rows, one gathered product when it fits
+    # one chunk, else the largest over chunks of rows.  take gathers the rows
+    # that a[left] would at a third of its fixed cost.
+    if not len(left):
+        return 0.0
+    step = max(1, _CHUNK_ENTRIES // a.shape[1] ** 2)
+    if len(left) > step:
+        c = [slice(s, s + step) for s in range(0, len(left), step)]
+        return max(_residual(a, left[s], right[s], target[s]) for s in c)
+    prod = a.take(left, axis=0) @ a.take(right, axis=0)
+    if len(target):
+        prod[: len(target)] -= a.take(target, axis=0)
+    return _max_abs(prod)
 
 
 def _report(plan: _Plan, tables) -> ValidationReport:
@@ -411,18 +428,18 @@ def _report(plan: _Plan, tables) -> ValidationReport:
             if d == 0:
                 continue
             checks = plan.checks
-            sums = checks.sums @ stack[checks.diag].reshape(-1, d * d)
+            sums = checks.sums @ stack.take(checks.diag, axis=0).reshape(-1, d * d)
             sums[-1, :: d + 1] -= 1.0
             nondegeneracy = max(nondegeneracy, _max_abs(sums[-1]))
             # A gather is a copy, so the residual can be formed in place.
-            diff = stack[checks.col0]
-            diff -= stack[checks.row0].conj().swapaxes(1, 2)
+            diff = stack.take(checks.col0, axis=0)
+            diff -= stack.take(checks.row0, axis=0).conj().swapaxes(1, 2)
             adjoint = max(adjoint, _max_abs(diff))
             units = sums[:-1].reshape(-1, d, d)
             mult = max(
                 mult,
                 _residual(stack, checks.left, checks.right, checks.target),
-                _residual(units, checks.pair_l, checks.pair_r, checks.pair_l[:0]),
+                _residual(units, checks.pair_l, checks.pair_r, ()),
             )
     names = ("star-multiplicativity", "star-adjoint", "nondegeneracy")
     checks = map(AxiomCheck, names, (mult, adjoint, nondegeneracy))
@@ -611,9 +628,13 @@ def interior_tensor(
 def interior_tensor_norm(x: ConcreteCorr, y: ConcreteCorr) -> float:
     """Largest eigenvalue of the scalarized Gram form of the tensor product.
 
-    Lies below VANISH_TOL exactly when the tensor product is the zero module.
-    The tensor's `gram_norm`: its action is not built, so a product over the
-    size cap still has its norm.
+    For factors that pass `validate`, whose Gram eigenvalues are 0 or a middle
+    block's size, it lies below VANISH_TOL exactly when the tensor product is
+    the zero module.  A caller-built action that fails `validate` may give a
+    zero product with a larger norm: a C -> C unit image [[1e-8]] tensored
+    after the realized [[1]] has norm 1e-8 and a zero fiber.  The tensor's
+    `gram_norm`: its action is not built, so a product over the size cap
+    still has its norm.
     """
     return InteriorTensor(x, y).gram_norm
 

@@ -55,6 +55,7 @@ __all__ = [
     "factor_through_quotient",
     "mono_finite_rank_test",
     "epi_finite_rank_test",
+    "finite_rank_tests",
 ]
 
 @dataclass(frozen=True)
@@ -483,6 +484,12 @@ def _rational_rank(rows: tuple[tuple[int, ...], ...]) -> int:
     return rank
 
 
+def finite_rank_tests(x: CorrClass, what: str = "finite_rank_tests") -> tuple[bool, bool]:
+    """Both rank probes, (mono, epi), from one rank of the matrix."""
+    rank = _rational_rank(_int_rows(x, what))
+    return rank == x.source.block_count, rank == x.target.block_count
+
+
 def mono_finite_rank_test(x: CorrClass) -> bool:
     """Left-cancellability against every finite-entry test morphism.
 
@@ -491,8 +498,7 @@ def mono_finite_rank_test(x: CorrClass) -> bool:
     nothing about monomorphism status against tests with infinite
     multiplicities, which remains undecided here.
     """
-    rows = _int_rows(x, "mono_finite_rank_test")
-    return _rational_rank(rows) == x.source.block_count
+    return finite_rank_tests(x, "mono_finite_rank_test")[0]
 
 
 def epi_finite_rank_test(x: CorrClass) -> bool:
@@ -504,5 +510,4 @@ def epi_finite_rank_test(x: CorrClass) -> bool:
     full classes such as [[1, 1]] fail right cancellation yet have full
     support.
     """
-    rows = _int_rows(x, "epi_finite_rank_test")
-    return _rational_rank(rows) == x.target.block_count
+    return finite_rank_tests(x, "epi_finite_rank_test")[1]

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 import enchilada
 from enchilada import INF, CorrClass, ValidationError, make_algebra, run_random_checks
+from enchilada import epi_finite_rank_test, mono_finite_rank_test
 from enchilada import identity_corr, quirks, schubert_image, zero_corr
 from enchilada.cli import RANK_BUDGET, _dumps, main
-from enchilada.jsonio import corr_to_json
+from enchilada.jsonio import corr_from_json, corr_to_json
 
 X_JSON = {"source": {"blocks": [1]}, "target": {"blocks": [1, 1]}, "matrix": [[1, 0]]}
 Y_JSON = {"source": {"blocks": [1, 1]}, "target": {"blocks": [1]}, "matrix": [[0], [1]]}
@@ -298,6 +299,33 @@ def test_classify_predicates_skips_rank_tests_over_the_budget(capsys):
     assert not any("note" in test for test in report["rank_tests"].values())
     code, report = run_json(capsys, "classify-predicates", "--input", json.dumps(_square(n, 2)))
     assert all(test["value"] is None for test in report["rank_tests"].values())
+
+
+def test_classify_predicates_ranks_each_finite_class_once(capsys, monkeypatch):
+    # Both rank probes read one rank of the matrix: one elimination per finite
+    # request, none for an INF class or one over the budget.  The values are
+    # the library probes'.
+    calls, rank = [], enchilada.corr._rational_rank
+
+    def counted(rows):
+        calls.append(rows)
+        return rank(rows)
+
+    monkeypatch.setattr(enchilada.corr, "_rational_rank", counted)
+    inf = {"source": {"blocks": [1]}, "target": {"blocks": [1]}, "matrix": [["inf"]]}
+    over = _square(round(RANK_BUDGET ** (1 / 3)) + 1, 1)
+    for request, ranks in ((X_JSON, 1), (BAD_X, 1), (_square(3, 2), 1), (inf, 0), (over, 0)):
+        calls.clear()
+        code, report = run_json(capsys, "classify-predicates", "--input", json.dumps(request))
+        assert code == 0 and len(calls) == ranks
+        values = [test["value"] for test in report["rank_tests"].values()]
+        if ranks:
+            x = corr_from_json(request)
+            calls.clear()
+            assert values == [mono_finite_rank_test(x), epi_finite_rank_test(x)]
+            assert len(calls) == 2
+        else:
+            assert values == [None, None]
 
 
 def test_gallery_verb(capsys):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +201,51 @@ def test_chunked_products_match_one_chunk(monkeypatch):
                 reports.append([(c.name, c.violation) for c in validate(bumped).checks])
             assert reports[0] == reports[1]
             assert reports[0][0][1] > concrete.VALIDATE_TOL
+
+
+def test_one_chunk_path_matches_the_chunked_path(monkeypatch):
+    # A relation product that fits one chunk is formed as one gathered
+    # product; at one row per chunk every product with more than one row
+    # goes through the chunked path.  On the same perturbed and rotated
+    # actions both give equal violations and failure names.
+    rng = np.random.default_rng(29)
+    cases = [x for _kind, x in _perturbed_realizations(34, cases=150)]
+    for orthogonal in (True, False) * 25:
+        a, b = random_algebra(rng), random_algebra(rng)
+        cases.append(_rotate(realize(random_corr(rng, a, b)), rng, orthogonal))
+
+    def reports():
+        return [
+            ([(c.name, c.violation) for c in report.checks], report.failures())
+            for report in map(validate, cases)
+        ]
+
+    one_chunk = reports()
+    monkeypatch.setattr(concrete, "_CHUNK_ENTRIES", 1)
+    assert reports() == one_chunk
+    assert 20 < sum(bool(failures) for _, failures in one_chunk) < len(cases)
+
+
+def test_identity_fill_allocates_only_its_stack():
+    # Block i's identity is written as its n_i^2 ones through index arrays on
+    # the plan; an np.eye(n_i^2) image beside the stack would double the peak.
+    x = realize(CorrClass(make_algebra([32]), C1, ((1,),)))
+    stacks, peak = _traced_peak(lambda: x._stacks)
+    assert stacks[0].nbytes == 32**4 * 8
+    assert peak < 1.05 * stacks[0].nbytes
+
+
+def test_identity_indices_live_and_die_with_their_plan():
+    # The index arrays are held by the plan instance, so a plan that _plan's
+    # cache evicts takes them with it.
+    plan = concrete._Plan((2, 3))
+    rows, p, q = plan.eye(1)
+    assert plan.eye(1)[0] is rows
+    assert rows.tolist() == [4 + k for k in range(9)] and (p * 3 + q).tolist() == list(range(9))
+    ref = weakref.ref(plan)
+    del plan
+    gc.collect()
+    assert ref() is None
 
 
 def test_validate_realizations_pass():
@@ -1204,6 +1251,24 @@ def test_gram_cutoff_is_null_tol_times_each_block_size():
     t = interior_tensor(x, y, 0.99)
     assert t.module.fiber_dims == (2,)
     assert classify(t) == CorrClass(C1, C1, ((2,),))
+
+
+def test_vanishing_norm_is_exact_only_on_validated_factors():
+    # On factors that pass validate every Gram eigenvalue is 0 or m, so the
+    # norm is below VANISH_TOL exactly when the product is zero.  A
+    # constructor-built C -> C action whose unit image is [[1e-8]] fails
+    # validate, and after the realized [[1]] it gives a zero product whose
+    # norm is 1e-8, above VANISH_TOL.
+    x = realize(CorrClass(C1, C1, ((1,),)))
+    faint = ConcreteCorr(C1, ConcreteModule(C1, (1,)), ((np.full((1, 1, 1, 1), 1e-8),),))
+    assert not validate(faint).ok
+    t = InteriorTensor(x, faint)
+    assert t.gram_norm == interior_tensor_norm(x, faint) == 1e-8 > concrete.VANISH_TOL
+    assert t.corr.module.fiber_dims == (0,)
+    for y in (x, realize(CorrClass(C1, C1, ((0,),)))):
+        assert validate(y).ok
+        zero = interior_tensor(x, y).module.is_zero
+        assert (interior_tensor_norm(x, y) < concrete.VANISH_TOL) == zero
 
 
 def test_norm_reads_the_gram_spectra_only(monkeypatch):
