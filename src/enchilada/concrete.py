@@ -9,10 +9,11 @@ every source matrix unit under the left action.
 Tensor products go through an explicit Gram quotient, whose spectra count
 the copies of each fiber in the quotient, and `classify` reads
 multiplicities as traces of minimal-projection images.  On factors made by
-`realize`, those traces, the axiom checks and the Gram spectra, an identity
-summand's read off its block sizes, are bookkeeping on the stored parts;
-what is measured in floating point is the Gram spectra of stack leaves, the
-only ones that go through `eigvalsh`, and every caller-built action.
+`realize`, those traces, exact int counts, the axiom checks and the
+tensor's layout and norm, read off the leaf tables, are bookkeeping on the
+stored parts; what is measured in floating point is every caller-built
+action and the Gram spectra of stack leaves, the only ones that go through
+`eigvalsh`.  The full spectra, `gram_blocks`, are built when first read.
 """
 
 from __future__ import annotations
@@ -461,8 +462,8 @@ def validate(x: ConcreteCorr) -> ValidationReport:
 
 def _traces(ids: dict, stacks: dict, plan: _Plan) -> list:
     # The traces of the e_{i11} images on a fiber with these leaves: their sum,
-    # to which block i's identity adds 1 at i alone.
-    tr = [float(ids.get(i, 0)) for i in range(len(plan.blocks))]
+    # to which block i's identity adds 1 at i alone; int counts without a stack.
+    tr = [ids.get(i, 0) for i in range(len(plan.blocks))]
     for s, mu in stacks.values():
         tr = [a + mu * b for a, b in zip(tr, s[plan.off[:-1]].trace(axis1=1, axis2=2).tolist())]
     return tr
@@ -484,17 +485,15 @@ def classify(x: ConcreteCorr) -> CorrClass:
             f"(max violation {report.max_violation:.3e})"
         )
     traces = [_traces(*table, plan) for table in tables]
-    rows = []
-    for i in range(x.source.block_count):
-        row = []
-        for j, tr in enumerate(traces):
-            t = complex(tr[i])
+    rows = [[tr[i] for tr in traces] for i in range(x.source.block_count)]
+    # Without a stack leaf every trace is an exact int count, so none is rounded.
+    for row in rows if any(stacks for _, stacks in tables) else ():
+        for j, t in enumerate(map(complex, row)):
             k = round(t.real)
             if abs(t.imag) > CLASSIFY_TOL or abs(t.real - k) > CLASSIFY_TOL or k < 0:
                 raise ValidationError(f"projection trace {t} on fiber {j} is not a multiplicity")
-            row.append(k)
-        rows.append(tuple(row))
-    return CorrClass._trusted(x.source, x.target, tuple(rows))
+            row[j] = k
+    return CorrClass._trusted(x.source, x.target, tuple(map(tuple, rows)))
 
 
 def _gram_block(stack: np.ndarray, blocks: tuple[int, ...], j: int) -> np.ndarray:
@@ -507,12 +506,10 @@ def _gram_block(stack: np.ndarray, blocks: tuple[int, ...], j: int) -> np.ndarra
 def _spectrum(leaves: tuple, blocks: tuple[int, ...], j: int, e: int, solved: dict) -> np.ndarray:
     # R's ascending spectrum for middle block j on a fiber of width e with these
     # leaves, the union of theirs (DECISIONS.md): a copy of block j's identity
-    # gives one m, other identities zeros, a stack its R's eigvalsh, solved once.
+    # gives one m, other identities zeros, a stack its R's eigvalsh, in solved.
     ids, stacks = leaves
     m, tops, lams = blocks[j], ids.get(j, 0), []
-    for key, (s, mu) in stacks.items():
-        if (key, j) not in solved:
-            solved[key, j] = np.linalg.eigvalsh(_gram_block(s, blocks, j))
+    for key, (_, mu) in stacks.items():
         lams += [solved[key, j]] * mu
     zeros = np.zeros(m * e - tops - sum(map(len, lams)))
     lam = np.concatenate([*lams, zeros, np.full(tops, float(m))])
@@ -533,52 +530,70 @@ class InteriorTensor:
     the matrix units of middle block j on fiber l of the right factor.  The
     number mu of eigenvalues of R above null_tol * m_j, for m_j the size of
     block j, is the multiplicity of fiber j in fiber l of the quotient.  R is
-    the direct sum of the R of fiber l's leaves, so an identity's spectrum is
-    read off the block sizes and only a stack's goes through eigvalsh.  The
-    product `corr`, built on first read, needs only the spectra, which
-    `gram_blocks` keeps; no R is kept.  `embed` takes the top mu eigenvectors
-    of each R, rebuilt on first use, scaled by the square roots of their
-    eigenvalues, as representatives of the Hausdorff quotient that are
-    orthonormal for the block-valued form, i.e. the quotient lands directly
-    in canonical fiber form.  The left action passes through on the
-    surviving coordinates.  Instances are immutable.
+    the direct sum of the R of fiber l's leaves, so the layout counts an
+    identity's eigenvalue m_j off the leaf tables and only a stack goes through
+    eigvalsh.  The product `corr` and `gram_blocks`, the full spectra from the
+    kept stack spectra, are built on first read; no R is kept.  `embed`
+    takes the top mu eigenvectors of each R, rebuilt on first use, scaled by
+    the square roots of their eigenvalues, as representatives of the
+    Hausdorff quotient that are orthonormal for the block-valued form, i.e.
+    the quotient lands directly in canonical fiber form.  The left action
+    passes through on the surviving coordinates.  Instances are immutable.
     """
 
     def __init__(self, x: ConcreteCorr, y: ConcreteCorr, null_tol: float = GRAM_NULL_TOL):
-        # The one Gram pass: the spectra, the norm and the layout.  It builds no
-        # action, so the size cap on the product applies when corr is read.
+        # The one Gram pass: the layout, the norm and the stack leaves' spectra,
+        # from the leaf tables.  It builds no action, so the size cap on the
+        # product applies when corr is read.
         if not 0.0 < null_tol < 1.0:
             raise ValidationError(f"null_tol must lie in (0, 1), got {null_tol!r}")
         if x.target != y.source:
             raise ValidationError(
                 f"cannot tensor: first ends at {x.target!r}, second starts at {y.source!r}"
             )
-        blocks, dx, ey = y.source.blocks, x.module.fiber_dims, y.module.fiber_dims
-        spectra, solved = [], {}  # each (l, j) with both fibers nonzero and its spectrum
-        for l in (l for l, e in enumerate(ey) if e and any(dx)):
-            leaves = _leaves(y._fibers[l])
+        blocks, ey = y.source.blocks, y.module.fiber_dims
+        middle = [j for j, d in enumerate(x.module.fiber_dims) if d]
+        # In (l, j) order: fiber l of corr holds mu copies of x's fiber j.
+        tops, solved, layout = [0.0], {}, tuple([] for _ in ey)
+        for l in (l for l, e in enumerate(ey) if e and middle):
+            ids, stacks = _leaves(y._fibers[l])
             # eigvalsh would read a non-finite entry of R as a number, so each stack
             # is checked first.  With min <= 0 <= max, a spread of at most half the
             # largest float keeps R = (r + r^*) / 2 finite; NaN fails.
-            for v in (v.view(float) for v, _ in leaves[1].values()):
+            for v in (v.view(float) for v, _ in stacks.values()):
                 if not v.max(initial=0.0) <= v.min(initial=0.0) + np.finfo(float).max / 2:
                     raise ValidationError("tensor Gram form has a non-finite entry")
-            for j in (j for j, d in enumerate(dx) if d):
-                spectra.append(((l, j), _spectrum(leaves, blocks, j, ey[l], solved)))
-        gram_norm = max([0.0] + [float(lam[-1]) for _, lam in spectra])
+            for j in middle:
+                mu = ids.get(j, 0)  # each copy of block j's identity: one eigenvalue m_j
+                if mu:
+                    tops.append(float(blocks[j]))
+                for key, (s, k) in stacks.items():
+                    if (key, j) not in solved:
+                        solved[key, j] = np.linalg.eigvalsh(_gram_block(s, blocks, j))
+                    mu += k * int(np.count_nonzero(solved[key, j] > null_tol * blocks[j]))
+                if mu:
+                    layout[l].append((j, mu))
+        gram_norm = max(tops + [float(lam[-1]) for lam in solved.values()])
         cut = null_tol * max(1.0, gram_norm)
-        if min([0.0] + [float(lam[0]) for _, lam in spectra]) < -cut:
+        if min([0.0] + [float(lam[0]) for lam in solved.values()]) < -cut:
             raise ValidationError("tensor Gram form is not positive semidefinite")
-        # In (l, j) order: fiber l of corr holds mu copies of x's fiber j.
-        layout = tuple([] for _ in ey)
-        for (l, j), lam in spectra:
-            mu = int(np.count_nonzero(lam > null_tol * blocks[j]))
-            if mu:
-                layout[l].append((j, mu))
-        vars(self).update(_x=x, _y=y, gram_norm=gram_norm, gram_blocks=tuple(spectra))
+        vars(self).update(_x=x, _y=y, gram_norm=gram_norm, _solved=solved)
         vars(self)["_layout"] = tuple(map(tuple, layout))
 
     __setattr__ = __delattr__ = ConcreteCorr.__setattr__
+
+    @functools.cached_property
+    def gram_blocks(self) -> tuple:
+        # Each (l, j) with both fibers nonzero and its full ascending spectrum,
+        # from the stack leaves' spectra the pass solved.
+        y, dx = self._y, self._x.module.fiber_dims
+        return tuple(
+            ((l, j), _spectrum(_leaves(y._fibers[l]), y.source.blocks, j, e, self._solved))
+            for l, e in enumerate(y.module.fiber_dims)
+            if e
+            for j, d in enumerate(dx)
+            if d
+        )
 
     @functools.cached_property
     def corr(self) -> ConcreteCorr:

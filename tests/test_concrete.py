@@ -1802,6 +1802,92 @@ def test_gram_spectra_solve_each_distinct_stack_once(monkeypatch):
     assert shared > 10
 
 
+def _count_spectra(monkeypatch):
+    # The (j, e) of each concrete._spectrum call, call by call.
+    calls = []
+    spectrum = concrete._spectrum
+
+    def spy(leaves, blocks, j, e, solved):
+        calls.append((j, e))
+        return spectrum(leaves, blocks, j, e, solved)
+
+    monkeypatch.setattr(concrete, "_spectrum", spy)
+    return calls
+
+
+def test_tensor_builds_no_spectrum_until_gram_blocks_is_read(monkeypatch):
+    # The layout and the norm come from the leaf tables: on realized and
+    # nested realized right factors building the tensor, its product and its
+    # norm solve nothing and build no spectrum; a mixed right factor solves
+    # its stacks then.  The first read of gram_blocks builds one spectrum per
+    # (l, j) from the kept stack spectra, with no new eigvalsh call, and the
+    # second read returns the same tuple.
+    solves, spectra = _count_solver(monkeypatch, "eigvalsh"), _count_spectra(monkeypatch)
+    rng = np.random.default_rng(63)
+    read = mixed = 0
+    for _ in range(40):
+        a, b, c, d = (random_algebra(rng) for _ in range(4))
+        x = realize(random_corr(rng, a, b))
+        nested = InteriorTensor(realize(random_corr(rng, b, d)), realize(random_corr(rng, d, c)))
+        for y in (realize(random_corr(rng, b, c)), nested.corr, _mixed_factor(rng, b, c)):
+            solves.clear()
+            t = InteriorTensor(x, y)
+            assert t.corr.source == a and t.gram_norm >= 0.0 and spectra == []
+            if any(stacks for _, stacks in map(concrete._leaves, y._fibers)):
+                mixed += bool(solves)
+            else:
+                assert solves == []
+            solves.clear()
+            blocks = t.gram_blocks
+            assert solves == [] and t.gram_blocks is blocks
+            assert spectra == [(j, y.module.fiber_dims[l]) for (l, j), _ in blocks]
+            read += len(spectra)
+            spectra.clear()
+    assert read > 100 and mixed > 10
+
+
+def test_tensor_refuses_a_negative_stack_beside_identities():
+    # A stack with a negative Gram eigenvalue among a mixed fiber's identity
+    # and rotated stack leaves is refused as before: the PSD test reads the
+    # smallest stack eigenvalue against the global cut.
+    rng = np.random.default_rng(64)
+    beside = 0
+    for _ in range(20):
+        a, b, c = (random_algebra(rng, zero_prob=0.0) for _ in range(3))
+        x, y = realize(random_corr(rng, a, b, zero_prob=0.0)), _mixed_factor(rng, b, c)
+        i = int(rng.integers(b.block_count))
+        rows = tuple((int(k == i),) for k in range(b.block_count))
+        bad = -_single_stack(realize(CorrClass(b, C1, rows)))._fibers[0]
+        fibers = ((*y._fibers[0], (1, bad)), *y._fibers[1:])
+        dims = (y.module.fiber_dims[0] + b.blocks[i], *y.module.fiber_dims[1:])
+        with pytest.raises(ValidationError, match="tensor Gram form is not positive semidefinite"):
+            InteriorTensor(x, ConcreteCorr._trusted(b, c, dims, fibers))
+        beside += any(isinstance(s, int) for _, s in y._fibers[0])
+    assert beside > 5
+
+
+def test_classify_reads_exact_counts_as_ints():
+    # On realized, nested and twice nested factors every trace is an int
+    # count, so classify builds its rows without rounding.  Each class must
+    # equal the class of the single-stack copy, which goes through the
+    # tolerance test, and the composite of the classes; and since
+    # CorrClass._trusted skips card, every entry must be an int.
+    rng = np.random.default_rng(65)
+    nested = 0
+    for _ in range(60):
+        a, b, c, d = (random_algebra(rng) for _ in range(4))
+        k, l, m = random_corr(rng, a, b), random_corr(rng, b, c), random_corr(rng, c, d)
+        t = InteriorTensor(realize(k), realize(l)).corr
+        t2 = InteriorTensor(t, realize(m)).corr
+        for corr, want in ((realize(k), k), (t, compose(k, l)), (t2, compose(compose(k, l), m))):
+            got, rebuilt = classify(corr), _single_stack(corr)
+            assert all(isinstance(s, np.ndarray) for s in rebuilt._fibers)
+            assert got == classify(rebuilt) == want
+            assert all(type(v) is int for row in got.matrix for v in row)
+        nested += any(t2.module.fiber_dims)
+    assert nested > 20
+
+
 def test_identity_spectra_allocate_nothing_of_the_fiber():
     # C -> M_2 -> C [[1]] . [[1024]]: the right fiber is 2048 wide and its one
     # Gram block 4096 x 4096, yet the spectrum is read off the block sizes.
