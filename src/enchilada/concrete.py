@@ -9,11 +9,11 @@ every source matrix unit under the left action.
 Tensor products go through an explicit Gram quotient, whose spectra count
 the copies of each fiber in the quotient, and `classify` reads
 multiplicities as traces of minimal-projection images.  On factors made by
-`realize`, those traces, exact int counts, the axiom checks and the
-tensor's layout and norm, read off the leaf tables, are bookkeeping on the
-stored parts; what is measured in floating point is every caller-built
-action and the Gram spectra of stack leaves, the only ones that go through
-`eigvalsh`.  The full spectra, `gram_blocks`, are built when first read.
+`realize`, those traces, the axiom checks and the tensor's layout and norm,
+read off the leaf tables, are bookkeeping on the stored parts; what is
+measured in floating point is every caller-built action and the Gram
+spectra of stack leaves, the only ones that go through `eigvalsh`.  The
+full spectra, `gram_blocks`, are built when first read.
 """
 
 from __future__ import annotations
@@ -462,8 +462,8 @@ def validate(x: ConcreteCorr) -> ValidationReport:
 
 def _traces(ids: dict, stacks: dict, plan: _Plan) -> list:
     # The traces of the e_{i11} images on a fiber with these leaves: their sum,
-    # to which block i's identity adds 1 at i alone; int counts without a stack.
-    tr = [ids.get(i, 0) for i in range(len(plan.blocks))]
+    # to which block i's identity adds 1 at i alone.
+    tr = [float(ids.get(i, 0)) for i in range(len(plan.blocks))]
     for s, mu in stacks.values():
         tr = [a + mu * b for a, b in zip(tr, s[plan.off[:-1]].trace(axis1=1, axis2=2).tolist())]
     return tr
@@ -486,8 +486,7 @@ def classify(x: ConcreteCorr) -> CorrClass:
         )
     traces = [_traces(*table, plan) for table in tables]
     rows = [[tr[i] for tr in traces] for i in range(x.source.block_count)]
-    # Without a stack leaf every trace is an exact int count, so none is rounded.
-    for row in rows if any(stacks for _, stacks in tables) else ():
+    for row in rows:
         for j, t in enumerate(map(complex, row)):
             k = round(t.real)
             if abs(t.imag) > CLASSIFY_TOL or abs(t.real - k) > CLASSIFY_TOL or k < 0:

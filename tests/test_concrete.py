@@ -1867,10 +1867,9 @@ def test_tensor_refuses_a_negative_stack_beside_identities():
 
 
 def test_classify_reads_exact_counts_as_ints():
-    # On realized, nested and twice nested factors every trace is an int
-    # count, so classify builds its rows without rounding.  Each class must
-    # equal the class of the single-stack copy, which goes through the
-    # tolerance test, and the composite of the classes; and since
+    # On realized, nested and twice nested factors, whose traces are identity
+    # counts, each class must equal the class of the single-stack copy, whose
+    # traces are measured, and the composite of the classes; and since
     # CorrClass._trusted skips card, every entry must be an int.
     rng = np.random.default_rng(65)
     nested = 0
