@@ -11,166 +11,21 @@ traces and axiom checks are bookkeeping; what it checks numerically is the
 Gram spectra, and any action a caller builds.
 """
 
-from .algebras import (
-    FdCStarAlgebra,
-    IdealRef,
-    ZERO_ALGEBRA,
-    algebras_isomorphic,
-    make_algebra,
-    make_ideal,
-    quotient,
-)
-from .cardinal import INF, card
-from .checks import (
-    RandomCheckReport,
-    SuiteResult,
-    enumerate_algebras,
-    enumerate_chains,
-    enumerate_corrs,
-    random_algebra,
-    random_corr,
-    run_random_checks,
-    suite_compose_laws,
-    suite_schubert_identities,
-    suite_short_exact_theorem,
-    suite_tensor_oracle,
-    suite_universal_properties,
-    suite_zero_tensor,
-)
-from .concrete import (
-    AxiomCheck,
-    ConcreteCorr,
-    ConcreteModule,
-    InteriorTensor,
-    ValidationReport,
-    classify,
-    compacts_span_defect,
-    interior_tensor,
-    interior_tensor_norm,
-    is_isomorphic,
-    rank_one,
-    realize,
-    validate,
-)
-from .corr import (
-    CorrClass,
-    cokernel,
-    compose,
-    direct_sum,
-    dual,
-    epi_finite_rank_test,
-    factor_through_quotient,
-    ideal_inclusion_corr,
-    identity_corr,
-    is_full,
-    is_hilbert_bimodule,
-    is_invertible,
-    is_left_full_hilbert_bimodule,
-    is_split_epi,
-    is_split_mono,
-    kernel,
-    left_inverse,
-    left_kernel,
-    mono_finite_rank_test,
-    phi_injective,
-    quotient_corr,
-    restrict_right,
-    right_inverse,
-    right_support,
-    schubert_coimage,
-    schubert_image,
-    tensor_is_zero,
-    zero_corr,
-)
-from .errors import ValidationError
-from .exactness import (
-    Condition,
-    ExactnessReport,
-    NodeVerdict,
-    SequenceSpec,
-    check_sequence,
-    check_short_exact,
-    exact_at,
-)
-from .quirks import GALLERY_NAMES, GalleryStep, GalleryTranscript, gallery
+from . import algebras, cardinal, checks, concrete, corr, errors, exactness, quirks
+from .algebras import *
+from .cardinal import *
+from .checks import *
+from .concrete import *
+from .corr import *
+from .errors import *
+from .exactness import *
+from .quirks import *
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is the one list of its public names.
 __all__ = [
-    "FdCStarAlgebra",
-    "IdealRef",
-    "ZERO_ALGEBRA",
-    "algebras_isomorphic",
-    "make_algebra",
-    "make_ideal",
-    "quotient",
-    "INF",
-    "card",
-    "CorrClass",
-    "identity_corr",
-    "zero_corr",
-    "compose",
-    "direct_sum",
-    "right_support",
-    "left_kernel",
-    "is_full",
-    "phi_injective",
-    "tensor_is_zero",
-    "ideal_inclusion_corr",
-    "quotient_corr",
-    "kernel",
-    "cokernel",
-    "schubert_image",
-    "schubert_coimage",
-    "is_hilbert_bimodule",
-    "is_left_full_hilbert_bimodule",
-    "left_inverse",
-    "right_inverse",
-    "is_split_mono",
-    "is_split_epi",
-    "is_invertible",
-    "dual",
-    "restrict_right",
-    "factor_through_quotient",
-    "mono_finite_rank_test",
-    "epi_finite_rank_test",
-    "ConcreteModule",
-    "ConcreteCorr",
-    "AxiomCheck",
-    "ValidationReport",
-    "InteriorTensor",
-    "realize",
-    "validate",
-    "classify",
-    "interior_tensor",
-    "interior_tensor_norm",
-    "is_isomorphic",
-    "rank_one",
-    "compacts_span_defect",
-    "SequenceSpec",
-    "NodeVerdict",
-    "Condition",
-    "ExactnessReport",
-    "exact_at",
-    "check_short_exact",
-    "check_sequence",
-    "GALLERY_NAMES",
-    "GalleryStep",
-    "GalleryTranscript",
-    "gallery",
-    "SuiteResult",
-    "RandomCheckReport",
-    "run_random_checks",
-    "random_algebra",
-    "random_corr",
-    "enumerate_algebras",
-    "enumerate_corrs",
-    "enumerate_chains",
-    "suite_compose_laws",
-    "suite_universal_properties",
-    "suite_schubert_identities",
-    "suite_tensor_oracle",
-    "suite_zero_tensor",
-    "suite_short_exact_theorem",
-    "ValidationError",
+    name
+    for module in (algebras, cardinal, corr, concrete, exactness, checks, quirks, errors)
+    for name in module.__all__
 ]

@@ -7,6 +7,7 @@ rerun reproduces the transcript byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
@@ -147,7 +148,7 @@ class SuiteResult:
 
 def suite_compose_laws(
     rng: np.random.Generator,
-    cases: int = 500,
+    cases: int,
     max_blocks: int = 3,
     max_size: int = 3,
     max_entry: int = 2,
@@ -182,7 +183,7 @@ def _bumped(rng, m: CorrClass) -> CorrClass | None:
 
 def suite_universal_properties(
     rng: np.random.Generator,
-    cases: int = 100,
+    cases: int,
     max_blocks: int = 3,
     max_size: int = 3,
     max_entry: int = 2,
@@ -229,7 +230,7 @@ def suite_universal_properties(
 
 def suite_schubert_identities(
     rng: np.random.Generator,
-    cases: int = 200,
+    cases: int,
     max_blocks: int = 3,
     max_size: int = 3,
     max_entry: int = 2,
@@ -253,9 +254,22 @@ def suite_schubert_identities(
     return SuiteResult("schubert identities", cases, tuple(fails))
 
 
+@contextlib.contextmanager
+def _drawn(suite: str, n: int, max_blocks: int, max_size: int, max_entry: int):
+    # The bounds cap each drawn class's blocks, sizes and entries, not its
+    # action, so a case at large bounds can go over MAX_ACTION_ENTRIES.
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(
+            f"{suite} case {n} drew a class over the action cap at max_blocks={max_blocks}, "
+            f"max_size={max_size}, max_entry={max_entry}; lower these bounds ({exc})"
+        ) from exc
+
+
 def suite_tensor_oracle(
     rng: np.random.Generator,
-    cases: int = 200,
+    cases: int,
     max_blocks: int = 3,
     max_size: int = 3,
     max_entry: int = 2,
@@ -269,10 +283,11 @@ def suite_tensor_oracle(
         c = random_algebra(rng, max_blocks, max_size)
         k = random_corr(rng, a, b, max_entry)
         l = random_corr(rng, b, c, max_entry)
-        rk = realize(k)
-        if classify(rk) != k:
-            fails.append(f"case {n}: roundtrip failed for {k!r}")
-        got = classify(interior_tensor(rk, realize(l)))
+        with _drawn("tensor oracle", n, max_blocks, max_size, max_entry):
+            rk = realize(k)
+            if classify(rk) != k:
+                fails.append(f"case {n}: roundtrip failed for {k!r}")
+            got = classify(interior_tensor(rk, realize(l)))
         if got != compose(k, l):
             fails.append(f"case {n}: oracle mismatch {k!r} * {l!r} -> {got!r}")
     return SuiteResult("tensor oracle", cases, tuple(fails))
@@ -280,7 +295,7 @@ def suite_tensor_oracle(
 
 def suite_zero_tensor(
     rng: np.random.Generator,
-    cases: int = 100,
+    cases: int,
     max_blocks: int = 3,
     max_size: int = 3,
     max_entry: int = 2,
@@ -304,7 +319,8 @@ def suite_zero_tensor(
             x = random_corr(rng, a, b, max_entry)
         symbolic = tensor_is_zero(x, y)
         matrix_zero = compose(x, y).is_zero
-        numeric = interior_tensor_norm(realize(x), realize(y)) < VANISH_TOL
+        with _drawn("zero tensor", n, max_blocks, max_size, max_entry):
+            numeric = interior_tensor_norm(realize(x), realize(y)) < VANISH_TOL
         if not (symbolic == matrix_zero == numeric):
             fails.append(
                 f"case {n}: disagreement ({symbolic}, {matrix_zero}, {numeric}) "
@@ -330,13 +346,16 @@ def suite_short_exact_theorem() -> SuiteResult:
     return SuiteResult("short exact theorem", cases, tuple(fails))
 
 
-DEFAULT_COUNTS = {
-    "laws": 500,
-    "universal": 100,
-    "schubert": 200,
-    "oracle": 200,
-    "zero_tensor": 100,
+# Each seeded suite by the key of its count: the suite and its default count.
+# A suite draws from the child seed of its place here.
+_SUITES = {
+    "laws": (suite_compose_laws, 500),
+    "universal": (suite_universal_properties, 100),
+    "schubert": (suite_schubert_identities, 200),
+    "oracle": (suite_tensor_oracle, 200),
+    "zero_tensor": (suite_zero_tensor, 100),
 }
+DEFAULT_COUNTS = {key: count for key, (_, count) in _SUITES.items()}
 
 DEFAULT_BOUNDS = {"max_blocks": 3, "max_size": 3, "max_entry": 2}
 # The largest bound accepted: numpy draws nothing beyond int64, and the
@@ -364,24 +383,21 @@ class RandomCheckReport:
         }
 
 
+def _merged(what: str, defaults: dict, given: dict | None) -> dict:
+    unknown = set(given or ()) - set(defaults)
+    if unknown:
+        raise ValidationError(f"unknown {what}: {sorted(unknown)}")
+    return {**defaults, **(given or {})}
+
+
 def run_random_checks(
     seed: int = 0,
     counts: dict | None = None,
     bounds: dict | None = None,
 ) -> RandomCheckReport:
     """Run every invariant suite with child seeds derived from `seed`."""
-    cfg = dict(DEFAULT_COUNTS)
-    if counts:
-        unknown = set(counts) - set(cfg)
-        if unknown:
-            raise ValidationError(f"unknown suite counts: {sorted(unknown)}")
-        cfg.update(counts)
-    bnd = dict(DEFAULT_BOUNDS)
-    if bounds:
-        unknown = set(bounds) - set(bnd)
-        if unknown:
-            raise ValidationError(f"unknown bounds: {sorted(unknown)}")
-        bnd.update(bounds)
+    cfg = _merged("suite counts", DEFAULT_COUNTS, counts)
+    bnd = _merged("bounds", DEFAULT_BOUNDS, bounds)
     for key, value in {**cfg, **bnd}.items():
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ValidationError(f"{key} must be a positive integer, got {value!r}")
@@ -390,15 +406,9 @@ def run_random_checks(
             raise ValidationError(f"{key} must be at most {cap}")
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-    children = np.random.SeedSequence(seed).spawn(5)
-    rngs = [np.random.default_rng(s) for s in children]
-    mb, ms, me = bnd["max_blocks"], bnd["max_size"], bnd["max_entry"]
-    results = (
-        suite_compose_laws(rngs[0], cfg["laws"], mb, ms, me),
-        suite_universal_properties(rngs[1], cfg["universal"], mb, ms, me),
-        suite_schubert_identities(rngs[2], cfg["schubert"], mb, ms, me),
-        suite_tensor_oracle(rngs[3], cfg["oracle"], mb, ms, me),
-        suite_zero_tensor(rngs[4], cfg["zero_tensor"], mb, ms, me),
-        suite_short_exact_theorem(),
-    )
-    return RandomCheckReport(seed, results)
+    children = np.random.SeedSequence(seed).spawn(len(_SUITES))
+    results = [
+        suite(np.random.default_rng(child), cfg[key], **bnd)
+        for (key, (suite, _)), child in zip(_SUITES.items(), children)
+    ]
+    return RandomCheckReport(seed, (*results, suite_short_exact_theorem()))

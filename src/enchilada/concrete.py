@@ -527,8 +527,9 @@ class InteriorTensor:
 
     per (left fiber j, right fiber l) pair, where R collects the action of
     the matrix units of middle block j on fiber l of the right factor.  The
-    number mu of eigenvalues of R above null_tol * m_j, for m_j the size of
-    block j, is the multiplicity of fiber j in fiber l of the quotient.  R is
+    number mu of eigenvalues of R above GRAM_NULL_TOL * m_j, the one cutoff,
+    read at each build, for m_j the size of block j, is the multiplicity of
+    fiber j in fiber l of the quotient.  R is
     the direct sum of the R of fiber l's leaves, so the layout counts an
     identity's eigenvalue m_j off the leaf tables and only a stack goes through
     eigvalsh.  The product `corr` and `gram_blocks`, the full spectra from the
@@ -540,12 +541,10 @@ class InteriorTensor:
     passes through on the surviving coordinates.  Instances are immutable.
     """
 
-    def __init__(self, x: ConcreteCorr, y: ConcreteCorr, null_tol: float = GRAM_NULL_TOL):
+    def __init__(self, x: ConcreteCorr, y: ConcreteCorr):
         # The one Gram pass: the layout, the norm and the stack leaves' spectra,
         # from the leaf tables.  It builds no action, so the size cap on the
         # product applies when corr is read.
-        if not 0.0 < null_tol < 1.0:
-            raise ValidationError(f"null_tol must lie in (0, 1), got {null_tol!r}")
         if x.target != y.source:
             raise ValidationError(
                 f"cannot tensor: first ends at {x.target!r}, second starts at {y.source!r}"
@@ -569,11 +568,11 @@ class InteriorTensor:
                 for key, (s, k) in stacks.items():
                     if (key, j) not in solved:
                         solved[key, j] = np.linalg.eigvalsh(_gram_block(s, blocks, j))
-                    mu += k * int(np.count_nonzero(solved[key, j] > null_tol * blocks[j]))
+                    mu += k * int(np.count_nonzero(solved[key, j] > GRAM_NULL_TOL * blocks[j]))
                 if mu:
                     layout[l].append((j, mu))
         gram_norm = max(tops + [float(lam[-1]) for lam in solved.values()])
-        cut = null_tol * max(1.0, gram_norm)
+        cut = GRAM_NULL_TOL * max(1.0, gram_norm)
         if min([0.0] + [float(lam[0]) for lam in solved.values()]) < -cut:
             raise ValidationError("tensor Gram form is not positive semidefinite")
         vars(self).update(_x=x, _y=y, gram_norm=gram_norm, _solved=solved)
@@ -632,11 +631,9 @@ class InteriorTensor:
         return tuple(out)
 
 
-def interior_tensor(
-    x: ConcreteCorr, y: ConcreteCorr, null_tol: float = GRAM_NULL_TOL
-) -> ConcreteCorr:
+def interior_tensor(x: ConcreteCorr, y: ConcreteCorr) -> ConcreteCorr:
     """The balanced tensor product as a concrete correspondence."""
-    return InteriorTensor(x, y, null_tol).corr
+    return InteriorTensor(x, y).corr
 
 
 def interior_tensor_norm(x: ConcreteCorr, y: ConcreteCorr) -> float:

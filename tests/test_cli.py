@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import enchilada
 from enchilada import INF, CorrClass, ValidationError, make_algebra, run_random_checks
 from enchilada import epi_finite_rank_test, mono_finite_rank_test
-from enchilada import identity_corr, quirks, schubert_image, zero_corr
+from enchilada import checks, identity_corr, quirks, schubert_image, zero_corr
 from enchilada.cli import RANK_BUDGET, _dumps, main
 from enchilada.jsonio import corr_from_json, corr_to_json
 
@@ -396,6 +397,38 @@ def test_random_check_deterministic(capsys):
     assert {s["name"] for s in rep1["suites"]} >= {"compose laws", "tensor oracle"}
 
 
+def test_random_check_draw_stream_is_pinned(monkeypatch):
+    # Every algebra and class the suites draw, in draw order, for two seeds at
+    # non-default bounds.  The digest was recorded when each suite's call was
+    # written out by hand; a suite moved to another child seed, or a bound or
+    # probability passed to the wrong parameter, changes it even if every
+    # suite still passes.
+    drawn = []
+
+    def record(draw, show):
+        def wrapped(*args, **kwargs):
+            value = draw(*args, **kwargs)
+            drawn.append(show(value))
+            return value
+
+        return wrapped
+
+    monkeypatch.setattr(checks, "random_algebra", record(checks.random_algebra, lambda a: a.blocks))
+    monkeypatch.setattr(
+        checks,
+        "random_corr",
+        record(checks.random_corr, lambda x: (x.source.blocks, x.target.blocks, x.matrix)),
+    )
+    counts = {"laws": 3, "universal": 3, "schubert": 3, "oracle": 3, "zero_tensor": 4}
+    bounds = {"max_blocks": 2, "max_size": 4, "max_entry": 3}
+    for seed in (5, 11):
+        assert run_random_checks(seed, counts, bounds).ok
+    # Draws per case: laws 7, universal 6, schubert 3, oracle 5, zero tensor 5.
+    assert len(drawn) == 2 * (3 * 7 + 3 * 6 + 3 * 3 + 3 * 5 + 4 * 5)
+    digest = hashlib.sha256(repr(drawn).encode()).hexdigest()
+    assert digest == "d2c1d0b5d0e413314e67c5f222f0754d300be4b8dc625d3309c88e7c0d001271"
+
+
 def test_random_check_rejects_bad_counts(capsys):
     code, report = run_json(capsys, "random-check", "--input", json.dumps({"bogus": 3}))
     assert code == 2
@@ -433,6 +466,21 @@ def test_random_check_bounds_are_capped(capsys, option):
     captured = capsys.readouterr()
     assert code == 2
     assert "must be at most 64" in json.loads(captured.out)["error"]
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_random_check_names_a_drawn_case_over_the_action_cap(capsys):
+    # Each bound is in range, but at max_size 64 the first oracle case draws a
+    # class whose action would hold more than MAX_ACTION_ENTRIES entries.
+    counts = json.dumps(dict.fromkeys(checks.DEFAULT_COUNTS, 1))
+    code = main(["random-check", "--max-dim", "64", "--input", counts])
+    captured = capsys.readouterr()
+    assert code == 2
+    error = json.loads(captured.out)["error"]
+    assert error.startswith(
+        "tensor oracle case 0 drew a class over the action cap at max_blocks=3, "
+        "max_size=64, max_entry=2; lower these bounds (the unit-image arrays"
+    )
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 

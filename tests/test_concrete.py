@@ -1229,26 +1229,16 @@ def test_identity_blocks_are_one_summand_whatever_their_index(monkeypatch):
     assert classify(t) == CorrClass(a, C1, tuple((2 * (i // 299),) for i in range(300)))
 
 
-@pytest.mark.parametrize("null_tol", [float("nan"), -1.0, 0.0, 1.0, 2.0])
-def test_tensor_refuses_a_null_tol_outside_the_unit_interval(null_tol):
-    # At nan or 2.0 the cut would drop every eigenvalue, so [[1]] . [[1]] over
-    # C -> M_2 -> C would classify as [[0]]; at -1.0 a positive semidefinite
-    # form would read as indefinite.
-    x, y = realize(CorrClass(C1, M2, ((1,),))), realize(CorrClass(M2, C1, ((1,),)))
-    for tensor in (InteriorTensor, interior_tensor):
-        with pytest.raises(ValidationError, match=r"null_tol must lie in \(0, 1\)"):
-            tensor(x, y, null_tol)
-    assert classify(interior_tensor(x, y, 0.5)) == CorrClass(C1, C1, ((1,),))
-
-
-def test_gram_cutoff_is_null_tol_times_each_block_size():
+def test_gram_cutoff_is_null_tol_times_each_block_size(monkeypatch):
     # Over C -> C + M_2 -> C the Gram blocks of [[1, 1]] . [[1], [1]] have top
     # eigenvalues 1 and 2, the sizes of their middle blocks.  The cutoff is
-    # null_tol times each block's size, so at 0.99 both summands are kept; a
-    # cutoff relative to the largest block (1.98 absolute) dropped the first.
+    # GRAM_NULL_TOL times each block's size, read when the tensor is built, so
+    # at 0.99 both summands are kept; a cutoff relative to the largest block
+    # (1.98 absolute) dropped the first.
+    monkeypatch.setattr(concrete, "GRAM_NULL_TOL", 0.99)
     c_m2 = make_algebra([1, 2])
     x, y = realize(CorrClass(C1, c_m2, ((1, 1),))), realize(CorrClass(c_m2, C1, ((1,), (1,))))
-    t = interior_tensor(x, y, 0.99)
+    t = interior_tensor(x, y)
     assert t.module.fiber_dims == (2,)
     assert classify(t) == CorrClass(C1, C1, ((2,),))
 

@@ -61,8 +61,13 @@ def _bound_names(tree):
 
 
 def test_all_names_are_defined():
+    # Each module's literal __all__ names only what the module binds.  The
+    # package's __all__ is built from those when it is imported, so its names
+    # are looked up at runtime.
     stale = []
     for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
         tree = ast.parse(path.read_text(), filename=str(path))
         exported = [
             ast.literal_eval(node.value)
@@ -72,7 +77,43 @@ def test_all_names_are_defined():
         ]
         bound = _bound_names(tree)
         stale.extend((path.stem, name) for names in exported for name in names if name not in bound)
+    import enchilada
+
+    stale.extend(("__init__", name) for name in enchilada.__all__ if not hasattr(enchilada, name))
     assert stale == []
+
+
+# The package's public names: every module's __all__, the package adding none.
+PUBLIC_NAMES = {
+    "AxiomCheck", "CLASSIFY_TOL", "ConcreteCorr", "ConcreteModule", "Condition", "CorrClass",
+    "DEFAULT_BOUNDS", "DEFAULT_COUNTS", "ExactnessReport", "FdCStarAlgebra", "GALLERY_NAMES",
+    "GRAM_NULL_TOL", "GalleryStep", "GalleryTranscript", "INF", "IdealRef", "InteriorTensor",
+    "MAX_ACTION_ENTRIES", "NodeVerdict", "RandomCheckReport", "SequenceSpec", "SuiteResult",
+    "VALIDATE_TOL", "VANISH_TOL", "ValidationError", "ValidationReport", "ZERO_ALGEBRA",
+    "algebras_isomorphic", "card", "check_sequence", "check_short_exact", "classify",
+    "cokernel", "compacts_span_defect", "compose", "direct_sum", "dual", "enumerate_algebras",
+    "enumerate_chains", "enumerate_corrs", "epi_finite_rank_test", "exact_at",
+    "factor_through_quotient", "finite_rank_tests", "gallery", "ideal_inclusion_corr",
+    "identity_corr", "interior_tensor", "interior_tensor_norm", "is_full",
+    "is_hilbert_bimodule", "is_invertible", "is_isomorphic", "is_left_full_hilbert_bimodule",
+    "is_split_epi", "is_split_mono", "kernel", "left_inverse", "left_kernel", "make_algebra",
+    "make_ideal", "mono_finite_rank_test", "phi_injective", "quotient", "quotient_corr",
+    "random_algebra", "random_corr", "rank_one", "realize", "restrict_right", "right_inverse",
+    "right_support", "run_random_checks", "schubert_coimage", "schubert_image",
+    "suite_compose_laws", "suite_schubert_identities", "suite_short_exact_theorem",
+    "suite_tensor_oracle", "suite_universal_properties", "suite_zero_tensor", "tensor_is_zero",
+    "validate", "zero_corr",
+}
+
+
+def test_package_exports_each_public_name_once():
+    import enchilada
+
+    names = enchilada.__all__
+    assert len(names) == len(set(names)) == 84
+    assert set(names) == PUBLIC_NAMES
+    for name in names:
+        getattr(enchilada, name)
 
 
 def test_small_float_literals_are_named():
