@@ -7,7 +7,6 @@ rerun reproduces the transcript byte for byte.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
@@ -49,11 +48,7 @@ __all__ = [
     "enumerate_chains",
     "SuiteResult",
     "RandomCheckReport",
-    "suite_compose_laws",
-    "suite_universal_properties",
-    "suite_schubert_identities",
-    "suite_tensor_oracle",
-    "suite_zero_tensor",
+    "run_suite",
     "suite_short_exact_theorem",
     "run_random_checks",
     "DEFAULT_COUNTS",
@@ -61,24 +56,28 @@ __all__ = [
 ]
 
 
+# The bounds on what the seeded suites draw, by the names of random-check's options.
+DEFAULT_BOUNDS = {"max_blocks": 3, "max_dim": 3, "max_entry": 2}
+
+
 def random_algebra(
     rng: np.random.Generator,
-    max_blocks: int = 3,
-    max_size: int = 3,
+    max_blocks: int = DEFAULT_BOUNDS["max_blocks"],
+    max_dim: int = DEFAULT_BOUNDS["max_dim"],
     zero_prob: float = 0.08,
 ) -> FdCStarAlgebra:
     """A random block algebra; occasionally the zero algebra."""
     if rng.random() < zero_prob:
         return FdCStarAlgebra(())
     r = int(rng.integers(1, max_blocks + 1))
-    return FdCStarAlgebra(tuple(int(rng.integers(1, max_size + 1)) for _ in range(r)))
+    return FdCStarAlgebra(tuple(int(rng.integers(1, max_dim + 1)) for _ in range(r)))
 
 
 def random_corr(
     rng: np.random.Generator,
     source: FdCStarAlgebra,
     target: FdCStarAlgebra,
-    max_entry: int = 2,
+    max_entry: int = DEFAULT_BOUNDS["max_entry"],
     inf_prob: float = 0.0,
     zero_prob: float = 0.35,
 ) -> CorrClass:
@@ -146,26 +145,16 @@ class SuiteResult:
         }
 
 
-def suite_compose_laws(
-    rng: np.random.Generator,
-    cases: int,
-    max_blocks: int = 3,
-    max_size: int = 3,
-    max_entry: int = 2,
-    inf_prob: float = 0.15,
-) -> SuiteResult:
+def _compose_laws(rng, n, max_blocks, max_dim, max_entry, inf_prob=0.15):
     """Associativity and both unit laws of composition, infinite entries included."""
-    fails = []
-    for n in range(cases):
-        a, b, c, d = (random_algebra(rng, max_blocks, max_size) for _ in range(4))
-        x = random_corr(rng, a, b, max_entry, inf_prob)
-        y = random_corr(rng, b, c, max_entry, inf_prob)
-        z = random_corr(rng, c, d, max_entry, inf_prob)
-        if compose(compose(x, y), z) != compose(x, compose(y, z)):
-            fails.append(f"case {n}: associativity {x!r} {y!r} {z!r}")
-        if compose(identity_corr(a), x) != x or compose(x, identity_corr(b)) != x:
-            fails.append(f"case {n}: unit law {x!r}")
-    return SuiteResult("compose laws", cases, tuple(fails))
+    a, b, c, d = (random_algebra(rng, max_blocks, max_dim) for _ in range(4))
+    x = random_corr(rng, a, b, max_entry, inf_prob)
+    y = random_corr(rng, b, c, max_entry, inf_prob)
+    z = random_corr(rng, c, d, max_entry, inf_prob)
+    if compose(compose(x, y), z) != compose(x, compose(y, z)):
+        yield f"associativity {x!r} {y!r} {z!r}"
+    if compose(identity_corr(a), x) != x or compose(x, identity_corr(b)) != x:
+        yield f"unit law {x!r}"
 
 
 def _bumped(rng, m: CorrClass) -> CorrClass | None:
@@ -181,152 +170,89 @@ def _bumped(rng, m: CorrClass) -> CorrClass | None:
     return CorrClass(m.source, m.target, tuple(map(tuple, rows)))
 
 
-def suite_universal_properties(
-    rng: np.random.Generator,
-    cases: int,
-    max_blocks: int = 3,
-    max_size: int = 3,
-    max_entry: int = 2,
-    inf_prob: float = 0.1,
-) -> SuiteResult:
+def _universal_properties(rng, n, max_blocks, max_dim, max_entry, inf_prob=0.1):
     """Kernel and cokernel factorizations: existence, formula, and uniqueness.
 
     For W with W * X = 0 the unique mediator is restrict_right(W, ker phi_X);
     dually for X * W = 0 it is factor_through_quotient(W, B_X).
     """
-    fails = []
-    for n in range(cases):
-        a = random_algebra(rng, max_blocks, max_size)
-        b = random_algebra(rng, max_blocks, max_size)
-        d = random_algebra(rng, max_blocks, max_size)
-        x = random_corr(rng, a, b, max_entry, inf_prob)
+    a, b, d = (random_algebra(rng, max_blocks, max_dim) for _ in range(3))
+    x = random_corr(rng, a, b, max_entry, inf_prob)
 
-        # Every W with W * X = 0 is M * ker X for exactly one M; dually for X * W = 0.
-        ker = kernel(x)
-        m = random_corr(rng, d, ker.source, max_entry, inf_prob)
-        w = compose(m, ker)
-        if not compose(w, x).is_zero:
-            fails.append(f"case {n}: generated W does not annihilate X")
-            continue
-        if restrict_right(w, left_kernel(x)) != m:
-            fails.append(f"case {n}: kernel factorization failed for {x!r}")
-        other = _bumped(rng, m)
-        if other is not None and compose(other, ker) == w:
-            fails.append(f"case {n}: kernel mediator not unique for {x!r}")
+    # Every W with W * X = 0 is M * ker X for exactly one M; dually for X * W = 0.
+    ker = kernel(x)
+    m = random_corr(rng, d, ker.source, max_entry, inf_prob)
+    w = compose(m, ker)
+    if not compose(w, x).is_zero:
+        yield "generated W does not annihilate X"
+        return
+    if restrict_right(w, left_kernel(x)) != m:
+        yield f"kernel factorization failed for {x!r}"
+    other = _bumped(rng, m)
+    if other is not None and compose(other, ker) == w:
+        yield f"kernel mediator not unique for {x!r}"
 
-        cok = cokernel(x)
-        m2 = random_corr(rng, cok.target, d, max_entry, inf_prob)
-        w2 = compose(cok, m2)
-        if not compose(x, w2).is_zero:
-            fails.append(f"case {n}: generated W' is not annihilated by X")
-            continue
-        if factor_through_quotient(w2, right_support(x)) != m2:
-            fails.append(f"case {n}: cokernel factorization failed for {x!r}")
-        other = _bumped(rng, m2)
-        if other is not None and compose(cok, other) == w2:
-            fails.append(f"case {n}: cokernel mediator not unique for {x!r}")
-    return SuiteResult("universal properties", cases, tuple(fails))
+    cok = cokernel(x)
+    m2 = random_corr(rng, cok.target, d, max_entry, inf_prob)
+    w2 = compose(cok, m2)
+    if not compose(x, w2).is_zero:
+        yield "generated W' is not annihilated by X"
+        return
+    if factor_through_quotient(w2, right_support(x)) != m2:
+        yield f"cokernel factorization failed for {x!r}"
+    other = _bumped(rng, m2)
+    if other is not None and compose(cok, other) == w2:
+        yield f"cokernel mediator not unique for {x!r}"
 
 
-def suite_schubert_identities(
-    rng: np.random.Generator,
-    cases: int,
-    max_blocks: int = 3,
-    max_size: int = 3,
-    max_entry: int = 2,
-    inf_prob: float = 0.15,
-) -> SuiteResult:
+def _schubert_identities(rng, n, max_blocks, max_dim, max_entry, inf_prob=0.15):
     """Image = kernel of cokernel, coimage = cokernel of kernel, and the two
     always-exact node identities."""
-    fails = []
-    for n in range(cases):
-        a = random_algebra(rng, max_blocks, max_size)
-        b = random_algebra(rng, max_blocks, max_size)
-        x = random_corr(rng, a, b, max_entry, inf_prob)
-        if schubert_image(x) != kernel(cokernel(x)):
-            fails.append(f"case {n}: image identity failed for {x!r}")
-        if schubert_coimage(x) != cokernel(kernel(x)):
-            fails.append(f"case {n}: coimage identity failed for {x!r}")
-        if not exact_at(kernel(x), x).exact:
-            fails.append(f"case {n}: kernel node not exact for {x!r}")
-        if not exact_at(x, cokernel(x)).exact:
-            fails.append(f"case {n}: cokernel node not exact for {x!r}")
-    return SuiteResult("schubert identities", cases, tuple(fails))
+    a, b = (random_algebra(rng, max_blocks, max_dim) for _ in range(2))
+    x = random_corr(rng, a, b, max_entry, inf_prob)
+    if schubert_image(x) != kernel(cokernel(x)):
+        yield f"image identity failed for {x!r}"
+    if schubert_coimage(x) != cokernel(kernel(x)):
+        yield f"coimage identity failed for {x!r}"
+    if not exact_at(kernel(x), x).exact:
+        yield f"kernel node not exact for {x!r}"
+    if not exact_at(x, cokernel(x)).exact:
+        yield f"cokernel node not exact for {x!r}"
 
 
-@contextlib.contextmanager
-def _drawn(suite: str, n: int, max_blocks: int, max_size: int, max_entry: int):
-    # The bounds cap each drawn class's blocks, sizes and entries, not its
-    # action, so a case at large bounds can go over MAX_ACTION_ENTRIES.
-    try:
-        yield
-    except ValidationError as exc:
-        raise ValidationError(
-            f"{suite} case {n} drew a class over the action cap at max_blocks={max_blocks}, "
-            f"max_size={max_size}, max_entry={max_entry}; lower these bounds ({exc})"
-        ) from exc
-
-
-def suite_tensor_oracle(
-    rng: np.random.Generator,
-    cases: int,
-    max_blocks: int = 3,
-    max_size: int = 3,
-    max_entry: int = 2,
-) -> SuiteResult:
+def _tensor_oracle(rng, n, max_blocks, max_dim, max_entry):
     """Numeric cross-check: classify(realize(K) (x) realize(L)) = K * L,
     plus the realize/classify roundtrip."""
-    fails = []
-    for n in range(cases):
-        a = random_algebra(rng, max_blocks, max_size)
-        b = random_algebra(rng, max_blocks, max_size)
-        c = random_algebra(rng, max_blocks, max_size)
-        k = random_corr(rng, a, b, max_entry)
-        l = random_corr(rng, b, c, max_entry)
-        with _drawn("tensor oracle", n, max_blocks, max_size, max_entry):
-            rk = realize(k)
-            if classify(rk) != k:
-                fails.append(f"case {n}: roundtrip failed for {k!r}")
-            got = classify(interior_tensor(rk, realize(l)))
-        if got != compose(k, l):
-            fails.append(f"case {n}: oracle mismatch {k!r} * {l!r} -> {got!r}")
-    return SuiteResult("tensor oracle", cases, tuple(fails))
+    a, b, c = (random_algebra(rng, max_blocks, max_dim) for _ in range(3))
+    k = random_corr(rng, a, b, max_entry)
+    l = random_corr(rng, b, c, max_entry)
+    rk = realize(k)
+    if classify(rk) != k:
+        yield f"roundtrip failed for {k!r}"
+    got = classify(interior_tensor(rk, realize(l)))
+    if got != compose(k, l):
+        yield f"oracle mismatch {k!r} * {l!r} -> {got!r}"
 
 
-def suite_zero_tensor(
-    rng: np.random.Generator,
-    cases: int,
-    max_blocks: int = 3,
-    max_size: int = 3,
-    max_entry: int = 2,
-) -> SuiteResult:
+def _zero_tensor(rng, n, max_blocks, max_dim, max_entry):
     """Three-way agreement on vanishing: support criterion, zero composite
     matrix, and numerically vanishing tensor product.
 
-    Half the pairs are built with the support inside the kernel so both
+    Even cases build the pair with the support inside the kernel so both
     verdicts appear.
     """
-    fails = []
-    for n in range(cases):
-        a = random_algebra(rng, max_blocks, max_size)
-        b = random_algebra(rng, max_blocks, max_size)
-        c = random_algebra(rng, max_blocks, max_size)
-        y = random_corr(rng, b, c, max_entry)
-        if n % 2 == 0:
-            ker = kernel(y)
-            x = compose(random_corr(rng, a, ker.source, max_entry), ker)
-        else:
-            x = random_corr(rng, a, b, max_entry)
-        symbolic = tensor_is_zero(x, y)
-        matrix_zero = compose(x, y).is_zero
-        with _drawn("zero tensor", n, max_blocks, max_size, max_entry):
-            numeric = interior_tensor_norm(realize(x), realize(y)) < VANISH_TOL
-        if not (symbolic == matrix_zero == numeric):
-            fails.append(
-                f"case {n}: disagreement ({symbolic}, {matrix_zero}, {numeric}) "
-                f"for {x!r} and {y!r}"
-            )
-    return SuiteResult("zero tensor", cases, tuple(fails))
+    a, b, c = (random_algebra(rng, max_blocks, max_dim) for _ in range(3))
+    y = random_corr(rng, b, c, max_entry)
+    if n % 2 == 0:
+        ker = kernel(y)
+        x = compose(random_corr(rng, a, ker.source, max_entry), ker)
+    else:
+        x = random_corr(rng, a, b, max_entry)
+    symbolic = tensor_is_zero(x, y)
+    matrix_zero = compose(x, y).is_zero
+    numeric = interior_tensor_norm(realize(x), realize(y)) < VANISH_TOL
+    if not (symbolic == matrix_zero == numeric):
+        yield f"disagreement ({symbolic}, {matrix_zero}, {numeric}) for {x!r} and {y!r}"
 
 
 def suite_short_exact_theorem() -> SuiteResult:
@@ -346,24 +272,48 @@ def suite_short_exact_theorem() -> SuiteResult:
     return SuiteResult("short exact theorem", cases, tuple(fails))
 
 
-# Each seeded suite by the key of its count: the suite and its default count.
-# A suite draws from the child seed of its place here.
+# Each seeded suite by the key of its count: its per-case check, which yields
+# the texts of the case's failures, its name and its default count.  A suite
+# draws from the child seed of its place here.
 _SUITES = {
-    "laws": (suite_compose_laws, 500),
-    "universal": (suite_universal_properties, 100),
-    "schubert": (suite_schubert_identities, 200),
-    "oracle": (suite_tensor_oracle, 200),
-    "zero_tensor": (suite_zero_tensor, 100),
+    "laws": (_compose_laws, "compose laws", 500),
+    "universal": (_universal_properties, "universal properties", 100),
+    "schubert": (_schubert_identities, "schubert identities", 200),
+    "oracle": (_tensor_oracle, "tensor oracle", 200),
+    "zero_tensor": (_zero_tensor, "zero tensor", 100),
 }
-DEFAULT_COUNTS = {key: count for key, (_, count) in _SUITES.items()}
+DEFAULT_COUNTS = {key: count for key, (_, _, count) in _SUITES.items()}
 
-DEFAULT_BOUNDS = {"max_blocks": 3, "max_size": 3, "max_entry": 2}
 # The largest bound accepted: numpy draws nothing beyond int64, and the
 # classes the suites draw grow with each bound.
 MAX_BOUND = 64
-# The largest suite count accepted: the slowest suite, the tensor oracle,
-# takes a few milliseconds a case at the default bounds.
+# The largest suite count accepted: at the default bounds a case of the
+# slowest suite, the tensor oracle, takes under half a millisecond.
 MAX_CASES = 10_000
+
+
+def run_suite(key: str, rng: np.random.Generator, cases: int, **params) -> SuiteResult:
+    """Run `cases` cases of the seeded suite `key` of DEFAULT_COUNTS.
+
+    `params` are the bounds, each defaulting to DEFAULT_BOUNDS, and, for the
+    laws, universal and schubert suites, the chance `inf_prob` of an infinite
+    entry.
+    """
+    check, name, _ = _SUITES[key]
+    params = {**DEFAULT_BOUNDS, **params}
+    fails = []
+    for n in range(cases):
+        try:
+            fails.extend(f"case {n}: {text}" for text in check(rng, n, **params))
+        except ValidationError as exc:
+            # The bounds cap each drawn class's blocks, sizes and entries, not
+            # its action, so a case at large bounds can go over MAX_ACTION_ENTRIES.
+            drawn = ", ".join(f"{bound}={params[bound]}" for bound in DEFAULT_BOUNDS)
+            raise ValidationError(
+                f"{name} case {n} drew a class over the action cap at {drawn}; "
+                f"lower these bounds ({exc})"
+            ) from exc
+    return SuiteResult(name, cases, tuple(fails))
 
 
 @dataclass(frozen=True)
@@ -408,7 +358,7 @@ def run_random_checks(
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     children = np.random.SeedSequence(seed).spawn(len(_SUITES))
     results = [
-        suite(np.random.default_rng(child), cfg[key], **bnd)
-        for (key, (suite, _)), child in zip(_SUITES.items(), children)
+        run_suite(key, np.random.default_rng(child), cfg[key], **bnd)
+        for key, child in zip(_SUITES, children)
     ]
     return RandomCheckReport(seed, (*results, suite_short_exact_theorem()))

@@ -14,7 +14,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .checks import run_random_checks
+from .checks import DEFAULT_BOUNDS, run_random_checks
 from .concrete import InteriorTensor, classify, realize
 from .corr import (
     CorrClass,
@@ -338,12 +338,7 @@ def _run_random_check(verb, obj, args):
         if not isinstance(obj, dict):
             raise ValidationError("random-check input must be an object of suite counts")
         counts = obj
-    given = {
-        "max_blocks": args.max_blocks,
-        "max_size": args.max_dim,
-        "max_entry": args.max_entry,
-    }
-    bounds = {key: value for key, value in given.items() if value is not None}
+    bounds = {key: getattr(args, key) for key in DEFAULT_BOUNDS if getattr(args, key) is not None}
     report = run_random_checks(args.seed, counts, bounds)
     out = {"verb": "random-check", **report.to_json()}
 

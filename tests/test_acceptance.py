@@ -18,12 +18,8 @@ from enchilada import (
     is_left_full_hilbert_bimodule,
     is_split_mono,
     left_inverse,
-    suite_compose_laws,
-    suite_schubert_identities,
+    run_suite,
     suite_short_exact_theorem,
-    suite_tensor_oracle,
-    suite_universal_properties,
-    suite_zero_tensor,
 )
 from enchilada.concrete import CLASSIFY_TOL, VANISH_TOL
 
@@ -39,8 +35,8 @@ def _report(num, name, ok, detail, started, limit):
 def test_criterion_1_oracle_equivalence():
     assert CLASSIFY_TOL == 1e-6
     started = time.perf_counter()
-    result = suite_tensor_oracle(
-        np.random.default_rng(42), cases=200, max_blocks=3, max_size=3, max_entry=2,
+    result = run_suite(
+        "oracle", np.random.default_rng(42), 200, max_blocks=3, max_dim=3, max_entry=2,
     )
     ok = _report(1, "oracle equivalence", result.ok, f"{result.cases} pairs", started, 60.0)
     assert ok, result.failures[:5]
@@ -48,8 +44,8 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_categorical_laws():
     started = time.perf_counter()
-    result = suite_compose_laws(
-        np.random.default_rng(1042), cases=500, max_blocks=3, max_size=3,
+    result = run_suite(
+        "laws", np.random.default_rng(1042), 500, max_blocks=3, max_dim=3,
         max_entry=2, inf_prob=0.2,
     )
     ok = _report(2, "categorical laws", result.ok, f"{result.cases} triples", started, 5.0)
@@ -58,8 +54,8 @@ def test_criterion_2_categorical_laws():
 
 def test_criterion_3_universal_properties():
     started = time.perf_counter()
-    result = suite_universal_properties(
-        np.random.default_rng(2042), cases=100, max_blocks=3, max_size=3,
+    result = run_suite(
+        "universal", np.random.default_rng(2042), 100, max_blocks=3, max_dim=3,
         max_entry=2, inf_prob=0.15,
     )
     ok = _report(
@@ -71,8 +67,8 @@ def test_criterion_3_universal_properties():
 
 def test_criterion_4_schubert_identities():
     started = time.perf_counter()
-    result = suite_schubert_identities(
-        np.random.default_rng(3042), cases=200, max_blocks=3, max_size=3,
+    result = run_suite(
+        "schubert", np.random.default_rng(3042), 200, max_blocks=3, max_dim=3,
         max_entry=2, inf_prob=0.2,
     )
     ok = _report(4, "schubert identities", result.ok, f"{result.cases} classes", started, 5.0)
@@ -126,8 +122,8 @@ def test_criterion_6_split_mono_characterization():
 def test_criterion_7_zero_tensor_equivalence():
     assert VANISH_TOL == 1e-9
     started = time.perf_counter()
-    result = suite_zero_tensor(
-        np.random.default_rng(4042), cases=100, max_blocks=3, max_size=3, max_entry=2,
+    result = run_suite(
+        "zero_tensor", np.random.default_rng(4042), 100, max_blocks=3, max_dim=3, max_entry=2,
     )
     ok = _report(7, "zero-tensor equivalence", result.ok, f"{result.cases} pairs", started, 30.0)
     assert ok, result.failures[:5]

@@ -6,12 +6,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import enchilada
-from enchilada import INF, CorrClass, ValidationError, make_algebra, run_random_checks
+from enchilada import INF, CorrClass, ValidationError, make_algebra, run_random_checks, run_suite
 from enchilada import epi_finite_rank_test, mono_finite_rank_test
 from enchilada import checks, identity_corr, quirks, schubert_image, zero_corr
 from enchilada.cli import RANK_BUDGET, _dumps, main
@@ -420,7 +421,7 @@ def test_random_check_draw_stream_is_pinned(monkeypatch):
         record(checks.random_corr, lambda x: (x.source.blocks, x.target.blocks, x.matrix)),
     )
     counts = {"laws": 3, "universal": 3, "schubert": 3, "oracle": 3, "zero_tensor": 4}
-    bounds = {"max_blocks": 2, "max_size": 4, "max_entry": 3}
+    bounds = {"max_blocks": 2, "max_dim": 4, "max_entry": 3}
     for seed in (5, 11):
         assert run_random_checks(seed, counts, bounds).ok
     # Draws per case: laws 7, universal 6, schubert 3, oracle 5, zero tensor 5.
@@ -470,7 +471,7 @@ def test_random_check_bounds_are_capped(capsys, option):
 
 
 def test_random_check_names_a_drawn_case_over_the_action_cap(capsys):
-    # Each bound is in range, but at max_size 64 the first oracle case draws a
+    # Each bound is in range, but at max_dim 64 the first oracle case draws a
     # class whose action would hold more than MAX_ACTION_ENTRIES entries.
     counts = json.dumps(dict.fromkeys(checks.DEFAULT_COUNTS, 1))
     code = main(["random-check", "--max-dim", "64", "--input", counts])
@@ -479,9 +480,48 @@ def test_random_check_names_a_drawn_case_over_the_action_cap(capsys):
     error = json.loads(captured.out)["error"]
     assert error.startswith(
         "tensor oracle case 0 drew a class over the action cap at max_blocks=3, "
-        "max_size=64, max_entry=2; lower these bounds (the unit-image arrays"
+        "max_dim=64, max_entry=2; lower these bounds (the unit-image arrays"
     )
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    # The zero-tensor suite realizes its draws too; its case 0 stays under the cap.
+    with pytest.raises(ValidationError) as caught:
+        run_suite("zero_tensor", np.random.default_rng(0), 20, max_dim=64)
+    assert str(caught.value).startswith(
+        "zero tensor case 1 drew a class over the action cap at max_blocks=3, "
+        "max_dim=64, max_entry=2; lower these bounds ("
+    )
+
+
+def test_random_check_errors_name_the_bound_by_its_option(capsys):
+    code = main(["random-check", "--max-dim", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"] == "max_dim must be a positive integer, got 0"
+    assert captured.err == "error: max_dim must be a positive integer, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--seed", "0"], "5f14bca96fc6855d88bab144d0d64be45d98fc2ab021bb9ea10223462a5c7e05"),
+        (
+            ["--seed", "42", "--json-only"],
+            "af3a18e8bb6aae831f42f177ce3d2abdc666b6e51c67feb50a6fe024840e914e",
+        ),
+        (
+            ["--seed", "3", "--max-blocks", "2", "--max-dim", "4", "--max-entry", "3",
+             "--input", '{"laws": 50, "oracle": 30}'],
+            "9fc113d14633c4eb9250789236e1ff310542f5174a1a23da7369bb5f201dc83f",
+        ),
+    ],
+)
+def test_random_check_stdout_is_pinned(capsys, argv, digest):
+    # SHA-256 of the exit code, a newline and stdout, recorded while each suite
+    # still ran its own loop; any change to a suite's draws, verdicts, names or
+    # counts changes it.
+    code = main(["random-check", *argv])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("count", [10_001, 10**30, 2**63])

@@ -34,8 +34,7 @@ from enchilada import (
     rank_one,
     realize,
     right_support,
-    suite_tensor_oracle,
-    suite_zero_tensor,
+    run_suite,
     validate,
 )
 from enchilada import concrete
@@ -553,12 +552,12 @@ def test_classify_roundtrip_random():
 
 
 def test_oracle_matches_symbolic_composition():
-    result = suite_tensor_oracle(np.random.default_rng(24), cases=40)
+    result = run_suite("oracle", np.random.default_rng(24), 40)
     assert result.ok, result.failures
 
 
 def test_zero_tensor_three_way_agreement():
-    result = suite_zero_tensor(np.random.default_rng(25), cases=40)
+    result = run_suite("zero_tensor", np.random.default_rng(25), 40)
     assert result.ok, result.failures
 
 
@@ -1277,7 +1276,7 @@ def test_norm_reads_the_gram_spectra_only(monkeypatch):
     for seed in (0, 7):
         # run_random_checks gives the zero-tensor suite the fifth child seed.
         child = np.random.SeedSequence(seed).spawn(5)[4]
-        assert suite_zero_tensor(np.random.default_rng(child), cases=100).ok
+        assert run_suite("zero_tensor", np.random.default_rng(child), 100).ok
     assert len(pairs) == 200
     assert 50 < sum(norm < concrete.VANISH_TOL for norm in pairs) < 150
     x, y = realize(CorrClass(C1, M2, ((2,),))), realize(CorrClass(M2, C2, ((1, 3),)))

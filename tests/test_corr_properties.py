@@ -41,13 +41,9 @@ from enchilada import (
     restrict_right,
     right_inverse,
     right_support,
+    run_suite,
     schubert_coimage,
     schubert_image,
-    suite_compose_laws,
-    suite_schubert_identities,
-    suite_tensor_oracle,
-    suite_universal_properties,
-    suite_zero_tensor,
     tensor_is_zero,
     zero_corr,
 )
@@ -55,12 +51,12 @@ from sized_algebras import SIZED_ALGEBRAS
 
 
 def test_compose_laws_suite():
-    result = suite_compose_laws(np.random.default_rng(11), cases=120)
+    result = run_suite("laws", np.random.default_rng(11), 120)
     assert result.ok, result.failures
 
 
 def test_universal_properties_suite():
-    result = suite_universal_properties(np.random.default_rng(12), cases=40)
+    result = run_suite("universal", np.random.default_rng(12), 40)
     assert result.ok, result.failures
 
 
@@ -73,7 +69,7 @@ def test_universal_suite_compares_each_mediator_with_the_drawn_one(monkeypatch):
         "factor_through_quotient",
         lambda w, ideal: zero_corr(quotient(w.source, ideal), w.target),
     )
-    failures = suite_universal_properties(np.random.default_rng(12), cases=40).failures
+    failures = run_suite("universal", np.random.default_rng(12), 40).failures
     assert any("kernel factorization failed" in f for f in failures)
     assert any("cokernel factorization failed" in f for f in failures)
 
@@ -99,27 +95,38 @@ def _zero_class(x):
     return zero_corr(x.source, x.target)
 
 
+# The test ids keep the names of the suite functions that run_suite replaced.
+_SUITE_IDS = {
+    "laws": "suite_compose_laws",
+    "universal": "suite_universal_properties",
+    "schubert": "suite_schubert_identities",
+    "oracle": "suite_tensor_oracle",
+    "zero_tensor": "suite_zero_tensor",
+}
+
+
 @pytest.mark.parametrize(
     "suite, name, fake, message",
     [
-        (suite_compose_laws, "compose", _bumped_compose, "associativity"),
-        (suite_compose_laws, "identity_corr", lambda a: zero_corr(a, a), "unit law"),
-        (suite_universal_properties, "kernel", _source_identity, "generated W does not"),
-        (suite_universal_properties, "_bumped", lambda rng, m: m, "kernel mediator not unique"),
-        (suite_universal_properties, "_bumped", lambda rng, m: m, "cokernel mediator not unique"),
-        (suite_universal_properties, "cokernel", _target_identity, "generated W' is not"),
-        (suite_schubert_identities, "schubert_image", kernel, "image identity failed"),
-        (suite_schubert_identities, "schubert_coimage", cokernel, "coimage identity failed"),
-        (suite_schubert_identities, "exact_at", _not_exact, "kernel node not exact"),
-        (suite_schubert_identities, "exact_at", _not_exact, "cokernel node not exact"),
-        (suite_tensor_oracle, "classify", _zero_class, "roundtrip failed"),
-        (suite_zero_tensor, "tensor_is_zero", lambda x, y: False, "disagreement ("),
+        ("laws", "compose", _bumped_compose, "associativity"),
+        ("laws", "identity_corr", lambda a: zero_corr(a, a), "unit law"),
+        ("universal", "kernel", _source_identity, "generated W does not"),
+        ("universal", "_bumped", lambda rng, m: m, "kernel mediator not unique"),
+        ("universal", "_bumped", lambda rng, m: m, "cokernel mediator not unique"),
+        ("universal", "cokernel", _target_identity, "generated W' is not"),
+        ("schubert", "schubert_image", kernel, "image identity failed"),
+        ("schubert", "schubert_coimage", cokernel, "coimage identity failed"),
+        ("schubert", "exact_at", _not_exact, "kernel node not exact"),
+        ("schubert", "exact_at", _not_exact, "cokernel node not exact"),
+        ("oracle", "classify", _zero_class, "roundtrip failed"),
+        ("zero_tensor", "tensor_is_zero", lambda x, y: False, "disagreement ("),
     ],
+    ids=_SUITE_IDS.get,
 )
 def test_suites_report_each_planted_fault(monkeypatch, suite, name, fake, message):
     # Each fault breaks one law a suite checks, and the suite names that law.
     monkeypatch.setattr(checks, name, fake)
-    result = suite(np.random.default_rng(3), cases=20)
+    result = run_suite(suite, np.random.default_rng(3), 20)
     assert not result.ok
     # Each failure reads "case n: <law> ...".
     assert any(f.split(": ", 1)[1].startswith(message) for f in result.failures), result.failures
@@ -133,12 +140,12 @@ def test_zero_tensor_suite_draws_vanishing_pairs_on_even_cases(monkeypatch):
         return verdicts[-1]
 
     monkeypatch.setattr(checks, "tensor_is_zero", recorded)
-    assert suite_zero_tensor(np.random.default_rng(25), cases=40).ok
+    assert run_suite("zero_tensor", np.random.default_rng(25), 40).ok
     assert all(verdicts[0::2]) and not all(verdicts[1::2])
 
 
 def test_schubert_identities_suite():
-    result = suite_schubert_identities(np.random.default_rng(13), cases=60)
+    result = run_suite("schubert", np.random.default_rng(13), 60)
     assert result.ok, result.failures
 
 
