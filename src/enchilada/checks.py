@@ -297,18 +297,20 @@ def run_suite(key: str, rng: np.random.Generator, cases: int, **params) -> Suite
 
     `params` are the bounds, each defaulting to DEFAULT_BOUNDS, and, for the
     laws, universal and schubert suites, the chance `inf_prob` of an infinite
-    entry.
+    entry.  The key, the count and the bounds are checked as
+    run_random_checks checks them.
     """
+    bounds = {bound: params.pop(bound) for bound in DEFAULT_BOUNDS if bound in params}
+    _, bounds = _settings({key: cases}, bounds)
     check, name, _ = _SUITES[key]
-    params = {**DEFAULT_BOUNDS, **params}
     fails = []
     for n in range(cases):
         try:
-            fails.extend(f"case {n}: {text}" for text in check(rng, n, **params))
+            fails.extend(f"case {n}: {text}" for text in check(rng, n, **bounds, **params))
         except ValidationError as exc:
             # The bounds cap each drawn class's blocks, sizes and entries, not
             # its action, so a case at large bounds can go over MAX_ACTION_ENTRIES.
-            drawn = ", ".join(f"{bound}={params[bound]}" for bound in DEFAULT_BOUNDS)
+            drawn = ", ".join(f"{bound}={value}" for bound, value in bounds.items())
             raise ValidationError(
                 f"{name} case {n} drew a class over the action cap at {drawn}; "
                 f"lower these bounds ({exc})"
@@ -340,12 +342,10 @@ def _merged(what: str, defaults: dict, given: dict | None) -> dict:
     return {**defaults, **(given or {})}
 
 
-def run_random_checks(
-    seed: int = 0,
-    counts: dict | None = None,
-    bounds: dict | None = None,
-) -> RandomCheckReport:
-    """Run every invariant suite with child seeds derived from `seed`."""
+def _settings(counts: dict | None, bounds: dict | None) -> tuple[dict, dict]:
+    """The suite counts and the bounds over their defaults, each a positive
+    integer under its cap, or a ValidationError that names the first that
+    is not."""
     cfg = _merged("suite counts", DEFAULT_COUNTS, counts)
     bnd = _merged("bounds", DEFAULT_BOUNDS, bounds)
     for key, value in {**cfg, **bnd}.items():
@@ -354,6 +354,16 @@ def run_random_checks(
         cap = MAX_BOUND if key in bnd else MAX_CASES
         if value > cap:
             raise ValidationError(f"{key} must be at most {cap}")
+    return cfg, bnd
+
+
+def run_random_checks(
+    seed: int = 0,
+    counts: dict | None = None,
+    bounds: dict | None = None,
+) -> RandomCheckReport:
+    """Run every invariant suite with child seeds derived from `seed`."""
+    cfg, bnd = _settings(counts, bounds)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     children = np.random.SeedSequence(seed).spawn(len(_SUITES))

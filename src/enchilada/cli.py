@@ -14,8 +14,11 @@ import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .checks import DEFAULT_BOUNDS, run_random_checks
-from .concrete import InteriorTensor, classify, realize
+# The numeric layer (realize, the tensor, the suites, the gallery) is reached
+# through the package's names, which import numpy on first use: the symbolic
+# verbs never do (DECISIONS.md).
+import enchilada
+
 from .corr import (
     CorrClass,
     cokernel,
@@ -36,7 +39,6 @@ from .corr import (
 from .errors import ValidationError
 from .exactness import check_sequence, check_short_exact
 from .jsonio import algebra_to_json, corr_from_json, ideal_to_json, sequence_from_json
-from .quirks import GALLERY_NAMES, gallery
 
 # oracle-tensor prints gram_norm to this many significant digits: the last
 # bits of a top eigenvalue depend on the eigensolver (see DECISIONS.md).
@@ -288,8 +290,8 @@ def _run_oracle_tensor(verb, obj, args):
     if not (x.all_finite and y.all_finite):
         raise ValidationError("oracle-tensor requires finite multiplicities")
     symbolic = compose(x, y)
-    tensor = InteriorTensor(realize(x), realize(y))
-    numeric = classify(tensor.corr)
+    tensor = enchilada.InteriorTensor(enchilada.realize(x), enchilada.realize(y))
+    numeric = enchilada.classify(tensor.corr)
     match = numeric == symbolic
     report = {
         "verb": "oracle-tensor",
@@ -308,14 +310,14 @@ def _run_oracle_tensor(verb, obj, args):
 
 def _run_gallery(verb, obj, args):
     if obj is None:
-        names = GALLERY_NAMES
+        names = enchilada.GALLERY_NAMES
     elif isinstance(obj, str):
         names = (obj,)
     elif isinstance(obj, dict) and "name" in obj:
         names = (obj["name"],)
     else:
         raise ValidationError("gallery takes an entry name or nothing")
-    transcripts = [gallery(n) for n in names]
+    transcripts = [enchilada.gallery(n) for n in names]
     ok = all(t.passed for t in transcripts)
     report = {
         "verb": "gallery",
@@ -338,8 +340,9 @@ def _run_random_check(verb, obj, args):
         if not isinstance(obj, dict):
             raise ValidationError("random-check input must be an object of suite counts")
         counts = obj
-    bounds = {key: getattr(args, key) for key in DEFAULT_BOUNDS if getattr(args, key) is not None}
-    report = run_random_checks(args.seed, counts, bounds)
+    given = {key: getattr(args, key) for key in enchilada.DEFAULT_BOUNDS}
+    bounds = {key: value for key, value in given.items() if value is not None}
+    report = enchilada.run_random_checks(args.seed, counts, bounds)
     out = {"verb": "random-check", **report.to_json()}
 
     def lines():

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-import numpy as np
-
 from .algebras import FdCStarAlgebra, IdealRef, quotient
 from .cardinal import INF, card
 from .errors import ValidationError
@@ -160,6 +158,8 @@ def _wide_product(xm, ym, r: int, k: int, s: int):
     The finite parts multiply as int64; a result entry is INF where a term
     pairs INF with a nonzero entry, which two boolean products find.
     """
+    import numpy as np  # here, its only use, so the symbolic layer loads without numpy
+
     try:
         a = np.fromiter(chain.from_iterable(xm), np.float64, r * k).reshape(r, k)
         b = np.fromiter(chain.from_iterable(ym), np.float64, k * s).reshape(k, s)

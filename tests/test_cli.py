@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from enchilada import INF, CorrClass, ValidationError, make_algebra, run_random_
 from enchilada import epi_finite_rank_test, mono_finite_rank_test
 from enchilada import checks, identity_corr, quirks, schubert_image, zero_corr
 from enchilada.cli import RANK_BUDGET, _dumps, main
+from enchilada.corr import WIDE_COMPOSE_MIN
 from enchilada.jsonio import corr_from_json, corr_to_json
 
 X_JSON = {"source": {"blocks": [1]}, "target": {"blocks": [1, 1]}, "matrix": [[1, 0]]}
@@ -653,6 +655,28 @@ def test_random_checks_reject_unknown_bounds():
         run_random_checks(0, bounds={"max_depth": 2})
 
 
+@pytest.mark.parametrize(
+    "key, cases, bounds, message",
+    [
+        ("laws", 3, {"max_blocks": 0}, "max_blocks must be a positive integer, got 0"),
+        ("laws", 3, {"max_dim": 10**30}, "max_dim must be at most 64"),
+        ("laws", 3, {"max_entry": True}, "max_entry must be a positive integer, got True"),
+        ("laws", -2, {}, "laws must be a positive integer, got -2"),
+        ("nope", 3, {}, "unknown suite counts: ['nope']"),
+    ],
+    ids=["zero-bound", "bound-past-int64", "boolean-bound", "negative-count", "unknown-key"],
+)
+def test_run_suite_refuses_what_random_checks_refuses(key, cases, bounds, message):
+    # run_suite used to pass these on: numpy raised ValueError on the first
+    # two, True ran as 1, -2 cases gave SuiteResult(cases=-2), and an unknown
+    # key raised KeyError.
+    with pytest.raises(ValidationError) as suite:
+        run_suite(key, np.random.default_rng(0), cases, **bounds)
+    with pytest.raises(ValidationError) as random_checks:
+        run_random_checks(0, {key: cases}, bounds)
+    assert str(suite.value) == str(random_checks.value) == message
+
+
 # A class in a report is written as json.dumps(indent=2) writes its
 # corr_to_json form: drawn with INF, ints past 2**53 (beyond a float's exact
 # range), zero-block sources (no rows) and zero-block targets (empty rows).
@@ -697,3 +721,84 @@ CLI_GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 def test_printed_classes_match_the_golden_stdout(capsys, name):
     entry = CLI_GOLDEN[name]
     assert (main(entry["argv"]), capsys.readouterr().out) == (entry["code"], entry["stdout"])
+
+
+def _wide_pair(n):
+    """An n x n by n x n compose request, INF included, over the numpy gate."""
+    algebra = {"blocks": [1] * n}
+    x = [[(i * j) % 5 for j in range(n)] for i in range(n)]
+    y = [[(i + 2 * j) % 3 for j in range(n)] for i in range(n)]
+    x[0][1] = "inf"
+    return json.dumps({
+        "x": {"source": algebra, "target": algebra, "matrix": x},
+        "y": {"source": algebra, "target": algebra, "matrix": y},
+    })
+
+
+# Runs each request of a JSON list [name, argv] on stdin through main and
+# prints {name: [exit code, stdout, the numeric modules loaded after it]}.
+FRESH_PROCESS_SCRIPT = (
+    "import contextlib, io, json, sys\n"
+    "from enchilada.cli import main\n"
+    "numeric = ('numpy', 'enchilada.concrete', 'enchilada.checks', 'enchilada.quirks')\n"
+    "result = {}\n"
+    "for name, argv in json.load(sys.stdin):\n"
+    "    out = io.StringIO()\n"
+    "    with contextlib.redirect_stdout(out):\n"
+    "        code = main(argv)\n"
+    "    result[name] = [code, out.getvalue(), [m for m in numeric if m in sys.modules]]\n"
+    "print(json.dumps(result))\n"
+)
+
+
+def test_symbolic_verbs_leave_numpy_unimported_in_a_fresh_process(capsys, monkeypatch):
+    # The numeric modules load on the first use of one of their names: the
+    # symbolic verbs import none of them, a wide compose imports numpy alone,
+    # and the oracle, the gallery and the suites load what each needs.
+    symbolic = [
+        "kernel-inf", "cokernel-inf", "image-inf", "coimage-inf",
+        "classify-predicates-finite-big", "compose-inf-big",
+    ]
+    wide = ["compose", "--input", _wide_pair(16), "--json-only"]
+    assert 16**3 >= WIDE_COMPOSE_MIN
+    counts = {"laws": 3, "universal": 3, "schubert": 3, "oracle": 3, "zero_tensor": 3}
+    requests = [
+        *([name, CLI_GOLDEN[name]["argv"]] for name in symbolic),
+        ["check-exact", ["check-exact", "--input", json.dumps(EXACT_SEQ)]],
+        ["check-exact-short", ["check-exact", "--input", json.dumps({"x": X_JSON, "y": Y_JSON})]],
+        ["wide", wide],
+        ["oracle-tensor", CLI_GOLDEN["oracle-tensor"]["argv"]],
+        ["gallery", ["gallery", "--input", "sur_not_epi", "--json-only"]],
+        ["random-check", ["random-check", "--seed", "5", "--input", json.dumps(counts)]],
+    ]
+    src = str(Path(enchilada.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", FRESH_PROCESS_SCRIPT], input=json.dumps(requests),
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    for name in symbolic:
+        assert result[name] == [CLI_GOLDEN[name]["code"], CLI_GOLDEN[name]["stdout"], []], name
+    assert result["check-exact"][:1] == result["check-exact-short"][:1] == [0]
+    assert result["check-exact"][2] == result["check-exact-short"][2] == []
+
+    # The wide product goes through numpy and prints what the Python loop prints.
+    monkeypatch.setattr(enchilada.corr, "WIDE_COMPOSE_MIN", math.inf)
+    assert main(wide) == 0
+    assert result["wide"] == [0, capsys.readouterr().out, ["numpy"]]
+
+    golden = CLI_GOLDEN["oracle-tensor"]
+    assert result["oracle-tensor"] == [
+        golden["code"], golden["stdout"], ["numpy", "enchilada.concrete"]
+    ]
+    code, out, loaded = result["gallery"]
+    assert code == 0
+    assert loaded == ["numpy", "enchilada.concrete", "enchilada.checks", "enchilada.quirks"]
+    gallery_golden = json.loads((Path(__file__).parent / "gallery_golden.json").read_text())
+    assert json.loads(out)["entries"] == [gallery_golden["sur_not_epi"]]
+    code, out, _ = result["random-check"]
+    # Recorded before the numeric modules loaded on first use.
+    digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+    assert digest == "779623cd836ee8a268811f303e213a5d85a1843f466b9f7a7a8ee0dbfc6022ab"

@@ -2,7 +2,14 @@
 
 import ast
 import graphlib
+import json
+import os
+import subprocess
+import sys
+import types
 from pathlib import Path
+
+import pytest
 
 # Read from the source tree, not imported: a cycle may make the import fail.
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "enchilada"
@@ -137,3 +144,47 @@ def test_small_float_literals_are_named():
             and id(node) not in named
         )
     assert inline == []
+
+
+# Imports the package, then binds each lazy module's names through the
+# package and through `import *`, and prints what it found.
+LAZY_NAMES_SCRIPT = (
+    "import json, sys\n"
+    "import enchilada\n"
+    "numeric = ('numpy', 'enchilada.concrete', 'enchilada.checks', 'enchilada.quirks')\n"
+    "loaded = [m for m in numeric if m in sys.modules]\n"
+    "modules = [enchilada.concrete, enchilada.checks, enchilada.quirks]\n"
+    "same = all(getattr(enchilada, n) is getattr(m, n) for m in modules for n in m.__all__)\n"
+    "star = {}\n"
+    "exec('from enchilada import *', star)\n"
+    "print(json.dumps([loaded, same, sorted(set(star) - {'__builtins__'})]))\n"
+)
+
+
+def test_numeric_names_load_on_first_use():
+    # A fresh process: `import enchilada` loads no numpy module; each name of
+    # concrete, checks and quirks resolves to that module's own object, and
+    # `import *` binds every public name.
+    src = str(PACKAGE.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", LAZY_NAMES_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded, same, star = json.loads(done.stdout)
+    assert loaded == []
+    assert same
+    assert set(star) == PUBLIC_NAMES and len(star) == 80
+
+
+def test_unknown_names_fail_as_on_any_module_and_dir_lists_public_names():
+    import enchilada
+
+    with pytest.raises(AttributeError) as lazy:
+        enchilada.no_such_name
+    with pytest.raises(AttributeError) as plain:
+        types.ModuleType("enchilada").no_such_name
+    assert str(lazy.value) == str(plain.value)
+    assert str(plain.value) == "module 'enchilada' has no attribute 'no_such_name'"
+    assert set(enchilada.__all__) <= set(dir(enchilada))
