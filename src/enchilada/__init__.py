@@ -15,8 +15,6 @@ modules, `concrete`, `checks` and `quirks`, load on first use of one of
 their names, so a symbolic CLI verb never imports numpy.
 """
 
-import importlib
-
 from . import algebras, cardinal, corr, errors, exactness
 from .algebras import *
 from .cardinal import *
@@ -33,7 +31,10 @@ _NUMERIC = ("concrete", "checks", "quirks")
 
 def __getattr__(name):
     if name in _NUMERIC:
-        return importlib.import_module(f".{name}", __name__)
+        # Through __import__, which -X importtime reports; importlib's
+        # import_module bypasses it.
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
     if name == "__all__":
         concrete, checks, quirks = map(__getattr__, _NUMERIC)
         # Each module's __all__ is the one list of its public names.

@@ -7,7 +7,9 @@ rerun reproduces the transcript byte for byte.
 
 from __future__ import annotations
 
+import inspect
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -298,11 +300,20 @@ def run_suite(key: str, rng: np.random.Generator, cases: int, **params) -> Suite
     `params` are the bounds, each defaulting to DEFAULT_BOUNDS, and, for the
     laws, universal and schubert suites, the chance `inf_prob` of an infinite
     entry.  The key, the count and the bounds are checked as
-    run_random_checks checks them.
+    run_random_checks checks them; inf_prob must be a real number in [0, 1],
+    and any other keyword is refused.
     """
     bounds = {bound: params.pop(bound) for bound in DEFAULT_BOUNDS if bound in params}
     _, bounds = _settings({key: cases}, bounds)
     check, name, _ = _SUITES[key]
+    # Past the bounds a suite takes inf_prob, at its check's default, if the
+    # check has one, and nothing else.
+    taken = inspect.signature(check).parameters
+    defaults = {"inf_prob": taken["inf_prob"].default} if "inf_prob" in taken else {}
+    params = _merged(f"parameters for {key}", defaults, params)
+    prob = params.get("inf_prob", 0.0)
+    if isinstance(prob, bool) or not isinstance(prob, numbers.Real) or not 0 <= prob <= 1:
+        raise ValidationError(f"inf_prob must be a real number in [0, 1], got {prob!r}")
     fails = []
     for n in range(cases):
         try:

@@ -155,13 +155,17 @@ class _Plan:
     checked, holds the axiom checks' read-only index arrays over those rows,
     5 N + (r + 5) S + 2 r (r - 1) numbers for N = sum_i n_i^2 and
     S = sum_i n_i; `eye(i)`, built when block i's identity is first filled,
-    the 3 n_i^2 indices of its 1s.  _plan keeps one plan per block tuple; its
-    bound holds all 84 tuples of at most 3 blocks of size <= 4."""
+    the 3 n_i^2 indices of its 1s; and `record`, the three violations classify
+    measured on each identity sum, keyed by the sum's tuple of blocks, at most
+    _RECORDED_SUMS of them.  _plan keeps one plan per block tuple, and the
+    record goes with it; its bound holds all 84 tuples of at most 3 blocks of
+    size <= 4."""
 
     def __init__(self, blocks: tuple[int, ...]):
         self.blocks = blocks
         self.off = list(itertools.accumulate((n * n for n in blocks), initial=0))
         self._eye = {}
+        self.record = {}
 
     def eye(self, i: int) -> tuple[np.ndarray, ...]:
         # (row, p, q) of each 1 of block i's identity image: E_pq at unit (i, p, q).
@@ -201,6 +205,8 @@ class _Plan:
 
 
 _plan = functools.lru_cache(maxsize=128)(_Plan)
+# Most identity sums one plan records: a source of at most 3 blocks has 15.
+_RECORDED_SUMS = 64
 
 
 def _check_size(blocks: tuple[int, ...], dims: tuple[int, ...]) -> None:
@@ -405,45 +411,61 @@ def _residual(a, left, right, target) -> float:
     return _max_abs(prod)
 
 
-def _report(plan: _Plan, tables) -> ValidationReport:
-    # A few batched products per distinct nonzero summand (DECISIONS.md), the
-    # identity summands new on a fiber as one sum no wider than it: a summation
+def _violations(plan: _Plan, stack: np.ndarray) -> tuple[float, float, float]:
+    # The star-multiplicativity, star-adjoint and nondegeneracy violations of
+    # one summand, in a few batched products (DECISIONS.md): a summation
     # product gives the P_i and their sum, which is nondegeneracy; (R1)
     # e_pq = e_p1 e_1q and (R2) e_1p e_q1 = delta_pq e_11 in each block and
     # (R3) P_i P_k = 0 across blocks give every product relation, and with them
-    # e_{1p}^* = e_{p1} gives every adjoint.  tables holds each fiber's leaves.
+    # e_{1p}^* = e_{p1} gives every adjoint.
+    d = stack.shape[1]
+    if d == 0:
+        return 0.0, 0.0, 0.0
+    checks = plan.checks
+    sums = checks.sums @ stack.take(checks.diag, axis=0).reshape(-1, d * d)
+    sums[-1, :: d + 1] -= 1.0
+    # A gather is a copy, so the residual can be formed in place.
+    diff = stack.take(checks.col0, axis=0)
+    diff -= stack.take(checks.row0, axis=0).conj().swapaxes(1, 2)
+    units = sums[:-1].reshape(-1, d, d)
+    mult = max(
+        _residual(stack, checks.left, checks.right, checks.target),
+        _residual(units, checks.pair_l, checks.pair_r, ()),
+    )
+    return mult, _max_abs(diff), _max_abs(sums[-1])
+
+
+def _identity_sum(plan: _Plan, blocks: tuple, record) -> tuple[float, float, float]:
+    # The violations of the sum of these blocks' identities, as assembled: read
+    # from record when it holds them, else measured and, while record has
+    # room, kept there.  With no record every call measures.
+    if record is not None and blocks in record:
+        return record[blocks]
+    d = sum(plan.blocks[i] for i in blocks)
+    got = _violations(plan, _assemble(plan, tuple((1, i) for i in blocks), d))
+    if record is not None and len(record) < _RECORDED_SUMS:
+        record[blocks] = got
+    return got
+
+
+def _report(plan: _Plan, tables, record=None) -> ValidationReport:
+    # Each distinct stack leaf, and the identity summands new on a fiber as one
+    # sum no wider than it, read through record when one is given; the report
+    # holds the largest of each violation.  tables holds each fiber's leaves.
     seen, stacks, identity_sums = set(), {}, []
     for ids, fiber_stacks in tables:
-        new = [i for i in ids if i not in seen]
+        new = tuple(i for i in ids if i not in seen)
         seen.update(new)
         stacks.update((key, s) for key, (s, _) in fiber_stacks.items())
         if new:
-            d = sum(plan.blocks[i] for i in new)
-            identity_sums.append(_assemble(plan, tuple((1, i) for i in new), d))
-    mult = adjoint = nondegeneracy = 0.0
+            identity_sums.append(new)
     # A caller's non-finite or overflowing entry reads as an infinite violation,
     # so numpy's warning says nothing more; an identity sum of 0s and 1s cannot.
     with np.errstate(invalid="ignore", over="ignore") if stacks else contextlib.nullcontext():
-        for stack in [*stacks.values(), *identity_sums]:
-            d = stack.shape[1]
-            if d == 0:
-                continue
-            checks = plan.checks
-            sums = checks.sums @ stack.take(checks.diag, axis=0).reshape(-1, d * d)
-            sums[-1, :: d + 1] -= 1.0
-            nondegeneracy = max(nondegeneracy, _max_abs(sums[-1]))
-            # A gather is a copy, so the residual can be formed in place.
-            diff = stack.take(checks.col0, axis=0)
-            diff -= stack.take(checks.row0, axis=0).conj().swapaxes(1, 2)
-            adjoint = max(adjoint, _max_abs(diff))
-            units = sums[:-1].reshape(-1, d, d)
-            mult = max(
-                mult,
-                _residual(stack, checks.left, checks.right, checks.target),
-                _residual(units, checks.pair_l, checks.pair_r, ()),
-            )
+        measured = [_violations(plan, stack) for stack in stacks.values()]
+    measured += [_identity_sum(plan, blocks, record) for blocks in identity_sums]
     names = ("star-multiplicativity", "star-adjoint", "nondegeneracy")
-    checks = map(AxiomCheck, names, (mult, adjoint, nondegeneracy))
+    checks = map(AxiomCheck, names, map(max, zip((0.0, 0.0, 0.0), *measured)))
     return ValidationReport(tuple(checks), VALIDATE_TOL)
 
 
@@ -473,12 +495,14 @@ def classify(x: ConcreteCorr) -> CorrClass:
     """Extract the multiplicity matrix of a validated concrete correspondence.
 
     The action must pass `validate`, whose failures and largest violation a
-    refusal names.  k_{ij} is the rank of the image on fiber j of a minimal
-    projection of source block i; since that image is a projection, the rank
-    is its trace, which must lie within CLASSIFY_TOL of an integer.
+    refusal names; an identity sum's violations, once measured on a plan,
+    are read from the plan's record.  k_{ij} is the rank of the image on
+    fiber j of a minimal projection of source block i; since that image is a
+    projection, the rank is its trace, which must lie within CLASSIFY_TOL of
+    an integer.
     """
     plan, tables = _plan(x.source.blocks), [_leaves(fiber) for fiber in x._fibers]
-    report = _report(plan, tables)
+    report = _report(plan, tables, plan.record)
     if not report.ok:
         raise ValidationError(
             f"action fails validation: {report.failures()} "

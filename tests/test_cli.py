@@ -677,6 +677,25 @@ def test_run_suite_refuses_what_random_checks_refuses(key, cases, bounds, messag
     assert str(suite.value) == str(random_checks.value) == message
 
 
+@pytest.mark.parametrize(
+    "key, params, message",
+    [
+        ("oracle", {"inf_prob": 0.1}, "unknown parameters for oracle: ['inf_prob']"),
+        ("laws", {"max_block": 2}, "unknown parameters for laws: ['max_block']"),
+        ("laws", {"inf_prob": -1.0}, "inf_prob must be a real number in [0, 1], got -1.0"),
+        ("universal", {"inf_prob": "x"}, "inf_prob must be a real number in [0, 1], got 'x'"),
+        ("schubert", {"inf_prob": True}, "inf_prob must be a real number in [0, 1], got True"),
+    ],
+    ids=["inf-prob-on-oracle", "misspelt-bound", "negative-inf-prob", "text-inf-prob", "boolean-inf-prob"],
+)
+def test_run_suite_checks_its_other_keywords(key, params, message):
+    # run_suite used to pass these on: the first two raised TypeError from
+    # the suite's check, and -1.0 ran as 0.
+    with pytest.raises(ValidationError) as err:
+        run_suite(key, np.random.default_rng(0), 3, **params)
+    assert str(err.value) == message
+
+
 # A class in a report is written as json.dumps(indent=2) writes its
 # corr_to_json form: drawn with INF, ints past 2**53 (beyond a float's exact
 # range), zero-block sources (no rows) and zero-block targets (empty rows).

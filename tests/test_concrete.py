@@ -1208,8 +1208,80 @@ def test_identity_summands_are_checked_as_built(monkeypatch):
     assert validate(x).ok
     monkeypatch.setattr(concrete, "_fill", doubled)
     assert validate(x).failures() == ["star-multiplicativity", "nondegeneracy"]
+    # classify reads the sums its plan has recorded, so it sees the fault on
+    # a fresh plan.
+    concrete._plan.cache_clear()
     with pytest.raises(ValidationError, match="action fails validation"):
         classify(x)
+
+
+def test_classify_records_identity_sums_and_validate_measures_them(monkeypatch):
+    # classify keeps each identity sum's violations on its plan, so a second
+    # classify of a realized class assembles none; validate keeps no record
+    # and assembles every sum on every call.
+    kind = CorrClass(make_algebra([2, 1, 3]), C2, ((1, 2), (0, 1), (2, 0)))
+    x = realize(kind)
+    concrete._plan.cache_clear()
+    widths = _assembled_widths(monkeypatch)
+    assert classify(x) == kind
+    assert widths == [5, 1]
+    widths.clear()
+    assert classify(realize(kind)) == kind
+    assert widths == []
+    m2_4 = realize(identity_corr(make_algebra([2, 2, 2, 2])))
+    for _ in range(2):
+        widths.clear()
+        assert validate(m2_4).ok
+        assert widths == [2, 2, 2, 2]
+    # The record holds at most _RECORDED_SUMS sums; past that classify
+    # measures each further sum on every call.
+    monkeypatch.setattr(concrete, "_RECORDED_SUMS", 1)
+    record = concrete._plan(x.source.blocks).record
+    assert list(record) == [(0, 2), (1,)]
+    other = CorrClass(x.source, C1, ((0,), (3,), (1,)))
+    for _ in range(2):
+        widths.clear()
+        assert classify(realize(other)) == other
+        assert widths == [4]
+    assert list(record) == [(0, 2), (1,)]
+
+
+def _classify_or_text(x):
+    # classify's class, or the text of its refusal.
+    try:
+        return classify(x)
+    except ValidationError as err:
+        return str(err)
+
+
+def test_classify_on_a_warm_plan_matches_a_fresh_plan(monkeypatch):
+    # Realized, rotated and perturbed factors, their tensors and the nested
+    # tensors of those: classify gives each the class, or the refusal text,
+    # that it gives on a fresh plan, reads every identity sum from the plans'
+    # records once they are warm, and refuses exactly what validate fails.
+    corrs = []
+    for x, y, z in _left_factors(61, 90):
+        t = InteriorTensor(x, y).corr
+        corrs += [x, y, t, InteriorTensor(t, z).corr]
+    reports = [validate(corr) for corr in corrs]
+    fresh = []
+    for corr in corrs:
+        concrete._plan.cache_clear()
+        fresh.append(_classify_or_text(corr))
+    warm = [_classify_or_text(corr) for corr in corrs]
+    widths = _assembled_widths(monkeypatch)
+    assert [_classify_or_text(corr) for corr in corrs] == warm == fresh
+    assert widths == []
+    for report, outcome in zip(reports, fresh):
+        if report.ok:
+            assert isinstance(outcome, CorrClass)
+        else:
+            assert outcome == (
+                f"action fails validation: {report.failures()} "
+                f"(max violation {report.max_violation:.3e})"
+            )
+    refused = sum(not report.ok for report in reports)
+    assert refused > 50 and len(corrs) - refused > 150
 
 
 def test_identity_blocks_are_one_summand_whatever_their_index(monkeypatch):

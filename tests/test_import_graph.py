@@ -178,6 +178,20 @@ def test_numeric_names_load_on_first_use():
     assert set(star) == PUBLIC_NAMES and len(star) == 80
 
 
+def test_importtime_lists_the_numeric_modules_loaded_on_first_use():
+    # The package loads concrete through __import__, so -X importtime reports
+    # it as its own import rather than in the self time of its first user.
+    src = str(PACKAGE.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import enchilada; enchilada.realize"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    listed = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
+    assert "enchilada.concrete" in listed and "enchilada" in listed
+
+
 def test_unknown_names_fail_as_on_any_module_and_dir_lists_public_names():
     import enchilada
 
